@@ -12,12 +12,9 @@ from .counting import (
     BASE_ROW,
     InexactDivisionError,
     OpCounter,
-    PascalRow,
     SequenceRow,
     SequenceTable,
-    advance,
     compute_table,
-    next_pascal_row,
 )
 from .expressions import (
     Add,
@@ -66,12 +63,10 @@ __all__ = [
     "NameMap",
     "Neg",
     "OpCounter",
-    "PascalRow",
     "Poly",
     "SequenceRow",
     "SequenceTable",
     "Sub",
-    "advance",
     "canonicalize",
     "compute_table",
     "divexact",
@@ -82,7 +77,6 @@ __all__ = [
     "enumerate_tree_classes_literal",
     "evaluate",
     "iter_expression_trees",
-    "next_pascal_row",
     "normalize_sign",
     "oracle_count",
     "parse",

@@ -9,8 +9,9 @@ Subcommands::
     bench  --n N [--repeat R]
 
 Exit codes: 0 success (and ``equiv`` equivalent), 1 ``equiv`` inequivalent
-or ``verify`` mismatch, 2 usage or expression syntax errors, 3 internal
-assertion failures.  All stdout output is deterministic; ``bench`` sends
+or ``verify`` mismatch, 2 usage or expression syntax errors (including
+expressions nested deeper than ``expressions.MAX_DEPTH``), 3 any internal
+error.  All stdout output is deterministic; ``bench`` sends
 its wall-clock timings to stderr.
 """
 
@@ -23,23 +24,55 @@ import json
 import sys
 import time
 
-from .counting import (
-    InexactDivisionError,
-    OpCounter,
-    SequenceRow,
-    SequenceTable,
-    compute_table,
-)
+from .counting import OpCounter, SequenceRow, SequenceTable, compute_table
 from .expressions import ExprSyntaxError, NameMap, evaluate, parse
-from .oracle import oracle_count, resolve_cutoff
+from .oracle import DEFAULT_CUTOFF, oracle_count
 
 _COLUMNS = ("S", "Q", "R", "P", "A")
+
+# CPython refuses int<->str conversions of more than 4,300 digits by default,
+# and counts pass that from k = 1247 on.  Past the limit the two helpers below
+# convert in pieces of _DIGITS digits, under the smallest limit CPython
+# accepts (640), so any count converts whatever the process-wide limit is.
+_DIGITS = 600
+_BASE = 10**_DIGITS
+
+
+def _to_decimal(v: int) -> str:
+    """str(v) for a nonnegative int of any length.
+
+    Counts within the limit go through str() alone, so writing them makes
+    no divmod chain or digit pieces to allocate and free.
+    """
+    try:
+        return str(v)
+    except ValueError:  # more digits than the process-wide limit allows
+        pass
+    pieces = []
+    while v >= _BASE:
+        v, low = divmod(v, _BASE)
+        pieces.append(str(low).zfill(_DIGITS))
+    pieces.append(str(v))
+    return "".join(reversed(pieces))
+
+
+def _from_decimal(text: str) -> int:
+    """int(text) for a decimal string of any length."""
+    if len(text) <= _DIGITS:
+        return int(text)
+    if not text.isdigit():
+        raise ValueError(f"not a decimal count: {text[:20]}...")
+    head = len(text) % _DIGITS or _DIGITS
+    v = int(text[:head])
+    for i in range(head, len(text), _DIGITS):
+        v = v * _BASE + int(text[i : i + _DIGITS])
+    return v
 
 
 def table_to_json(table: SequenceTable) -> str:
     """Serialize with counts as decimal strings (no precision loss)."""
     rows = [
-        {"k": k, **{c: str(v) for c, v in zip(_COLUMNS, row)}}
+        {"k": k, **{c: _to_decimal(v) for c, v in zip(_COLUMNS, row)}}
         for k, row in enumerate(table.rows, start=1)
     ]
     return json.dumps({"n": table.n, "rows": rows}, indent=2)
@@ -51,7 +84,7 @@ def table_from_json(text: str) -> SequenceTable:
     for i, rec in enumerate(data["rows"], start=1):
         if rec["k"] != i:
             raise ValueError(f"row {i} carries k={rec['k']}")
-        rows.append(SequenceRow(*(int(rec[c]) for c in _COLUMNS)))
+        rows.append(SequenceRow(*(_from_decimal(rec[c]) for c in _COLUMNS)))
     if data["n"] != len(rows):
         raise ValueError("row count does not match n")
     return SequenceTable(tuple(rows))
@@ -63,11 +96,11 @@ def table_to_csv(table: SequenceTable, all_sequences: bool = True) -> str:
     if all_sequences:
         writer.writerow(("k",) + _COLUMNS)
         for k, row in enumerate(table.rows, start=1):
-            writer.writerow((k,) + tuple(str(v) for v in row))
+            writer.writerow((k,) + tuple(_to_decimal(v) for v in row))
     else:
         writer.writerow(("k", "A"))
         for k, row in enumerate(table.rows, start=1):
-            writer.writerow((k, str(row.A)))
+            writer.writerow((k, _to_decimal(row.A)))
     return buf.getvalue()
 
 
@@ -80,14 +113,14 @@ def table_from_csv(text: str) -> SequenceTable:
     for i, rec in enumerate(reader, start=1):
         if int(rec[0]) != i:
             raise ValueError(f"row {i} carries k={rec[0]}")
-        rows.append(SequenceRow(*(int(v) for v in rec[1:])))
+        rows.append(SequenceRow(*(_from_decimal(v) for v in rec[1:])))
     return SequenceTable(tuple(rows))
 
 
 def _format_table(table: SequenceTable, all_sequences: bool) -> str:
     cols = ("k",) + (_COLUMNS if all_sequences else ("A",))
     data = [
-        [str(k)] + [str(getattr(row, c)) for c in cols[1:]]
+        [str(k)] + [_to_decimal(getattr(row, c)) for c in cols[1:]]
         for k, row in enumerate(table.rows, start=1)
     ]
     widths = [max(len(col), *(len(r[i]) for r in data)) for i, col in enumerate(cols)]
@@ -110,10 +143,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     k_max = args.max_k
-    limit = resolve_cutoff(None)
-    if k_max > limit and not args.unsafe_large:
+    if k_max > DEFAULT_CUTOFF and not args.unsafe_large:
         print(
-            f"error: --max-k {k_max} exceeds the safe cutoff {limit}; "
+            f"error: --max-k {k_max} exceeds the safe cutoff {DEFAULT_CUTOFF}; "
             f"pass --unsafe-large to proceed",
             file=sys.stderr,
         )
@@ -166,6 +198,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count_arg(text: str) -> int:
+    """argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exprcount",
@@ -177,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print the sequence values for k = 1..N")
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_count_arg, required=True, metavar="N")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument(
         "--all-sequences",
@@ -187,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="cross-check the engine against enumeration")
-    p.add_argument("--max-k", type=int, default=3, metavar="K")
+    p.add_argument("--max-k", type=_count_arg, default=3, metavar="K")
     p.add_argument(
         "--unsafe-large",
         action="store_true",
         help="allow K beyond the enumeration cutoff (k=5 takes a long time)",
     )
-    p.add_argument("--processes", type=int, default=1, metavar="P")
+    p.add_argument("--processes", type=_count_arg, default=1, metavar="P")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("equiv", help="decide whether two expressions are equivalent")
@@ -206,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("bench", help="time the engine and count integer operations")
-    p.add_argument("--n", type=int, required=True, metavar="N")
-    p.add_argument("--repeat", type=int, default=1, metavar="R")
+    p.add_argument("--n", type=_count_arg, required=True, metavar="N")
+    p.add_argument("--repeat", type=_count_arg, default=1, metavar="R")
     p.set_defaults(func=_cmd_bench)
     return parser
 
@@ -226,8 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InexactDivisionError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 -- any other fault is internal
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

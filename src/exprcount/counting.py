@@ -26,7 +26,7 @@ in stored integers and a quadratic operation count overall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -46,27 +46,6 @@ BASE_ROW = SequenceRow(S=2, Q=1, R=1, P=2, A=2)
 
 
 @dataclass(frozen=True)
-class PascalRow:
-    """Row k of Pascal's triangle: entries[j] = C(k, j)."""
-
-    k: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 0 or len(self.entries) != self.k + 1:
-            raise ValueError("Pascal row must have k+1 entries")
-        if self.entries[0] != 1 or self.entries[-1] != 1:
-            raise ValueError("Pascal row must start and end with 1")
-
-
-def next_pascal_row(row: PascalRow) -> PascalRow:
-    """Row k+1 from row k via C(k+1, j) = C(k, j) + C(k, j-1)."""
-    prev = row.entries
-    mid = tuple(prev[j - 1] + prev[j] for j in range(1, row.k + 1))
-    return PascalRow(row.k + 1, (1,) + mid + (1,))
-
-
-@dataclass(frozen=True)
 class SequenceTable:
     """Counts for k = 1..n; immutable and safe to share across threads."""
 
@@ -81,11 +60,6 @@ class SequenceTable:
             raise IndexError(f"k must be in 1..{self.n}, got {k}")
         return self.rows[k - 1]
 
-    def restrict(self, m: int) -> "SequenceTable":
-        if not 1 <= m <= self.n:
-            raise ValueError(f"m must be in 1..{self.n}, got {m}")
-        return SequenceTable(self.rows[:m])
-
 
 @dataclass
 class OpCounter:
@@ -97,10 +71,10 @@ class OpCounter:
 
 
 def _next_row(
-    rows: list[SequenceRow] | tuple[SequenceRow, ...],
+    rows: list[SequenceRow],
     bkm1: tuple[int, ...],
     bk: tuple[int, ...],
-    counter: OpCounter | None = None,
+    counter: OpCounter | None,
 ) -> SequenceRow:
     """Row k = len(rows)+1 from rows 1..k-1 and Pascal rows k-1 and k."""
     k = len(rows) + 1
@@ -135,26 +109,6 @@ def _next_row(
     return SequenceRow(S=s, Q=q, R=r, P=p, A=a)
 
 
-def advance(
-    table: SequenceTable,
-    row_km1: PascalRow,
-    row_k: PascalRow,
-    counter: OpCounter | None = None,
-) -> SequenceRow:
-    """Compute row k = table.n + 1 of the five sequences.
-
-    ``row_km1`` and ``row_k`` must be Pascal rows k-1 and k.
-    """
-    k = table.n + 1
-    if k < 2:
-        raise ValueError("advance needs at least row 1 in the table")
-    if row_km1.k != k - 1 or row_k.k != k:
-        raise ValueError(
-            f"need Pascal rows {k - 1} and {k}, got {row_km1.k} and {row_k.k}"
-        )
-    return _next_row(table.rows, row_km1.entries, row_k.entries, counter)
-
-
 def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
     """All five sequences for k = 1..n.
 
@@ -165,14 +119,16 @@ def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     rows: list[SequenceRow] = [BASE_ROW]
-    row_km1 = PascalRow(1, (1, 1))
-    row_k = next_pascal_row(row_km1)
+    # Pascal rows k-1 and k: bkm1[j] = C(k-1, j) and bk[j] = C(k, j).
+    bkm1: tuple[int, ...] = (1, 1)
+    bk: tuple[int, ...] = (1, 2, 1)
     for k in range(2, n + 1):
-        rows.append(_next_row(rows, row_km1.entries, row_k.entries, counter))
+        rows.append(_next_row(rows, bkm1, bk, counter))
         if k < n:
-            # Drop row k-1 before building row k+1: two rows live at a time.
-            row_km1 = row_k
-            row_k = next_pascal_row(row_km1)
+            # Drop row k-1 before building row k+1 from C(k+1, j) =
+            # C(k, j) + C(k, j-1): two rows live at a time.
+            bkm1 = bk
+            bk = (1,) + tuple(bkm1[j - 1] + bkm1[j] for j in range(1, k + 1)) + (1,)
             if counter is not None:
-                counter.adds += row_km1.k
+                counter.adds += k
     return SequenceTable(tuple(rows))

@@ -14,9 +14,10 @@ Infix grammar (EBNF)::
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | '(' expr ')' | identifier
 
-Unary minus binds tighter than the binary operators and may nest.
-Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; each distinct name is
-assigned the next unused variable index in first-occurrence order.
+Unary minus binds tighter than the binary operators and may nest.  Input
+nested deeper than ``MAX_DEPTH`` levels is a syntax error.  Identifiers
+match ``[A-Za-z_][A-Za-z0-9_]*``; each distinct name is assigned the next
+unused variable index in first-occurrence order.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ ExprTree = Leaf | Neg | Add | Sub | Mul | Div
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
+# Deepest input the parser accepts: at most this many nested parentheses and
+# unary minuses around any point, and a tree at most this many operators
+# high.  The parser recurses three times per parenthesis; evaluate, render
+# and eliminate_subtraction once per tree level.  So both stay far below
+# Python's default recursion limit of 1000, with room left for the caller's
+# frames and for the polynomial gcd underneath evaluate.
+MAX_DEPTH = 200
+
+
 class ExprSyntaxError(ValueError):
     """Malformed expression text; ``position`` is a 0-based index."""
 
@@ -87,11 +97,6 @@ class NameMap:
         if len(self._by_index) != len(self._by_name):
             raise ValueError("name map must be injective")
         self._next = max(self._by_index, default=0) + 1
-
-    @classmethod
-    def identity(cls, indices) -> "NameMap":
-        """Map ``x<i>`` to i for each given index."""
-        return cls({f"x{i}": i for i in indices})
 
     def index_for(self, name: str) -> int:
         idx = self._by_name.get(name)
@@ -150,53 +155,68 @@ class _Parser:
     def parse(self) -> ExprTree:
         if not self.tokens:
             raise ExprSyntaxError("empty input", 0)
-        tree = self.expr()
+        tree, _ = self.expr(0)
         tok = self._peek()
         if tok is not None:
             raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
         return tree
 
-    def expr(self) -> ExprTree:
-        node = self.term()
+    # expr, term and factor take the nesting depth of the current position
+    # and return the subtree with its height.
+
+    def expr(self, depth: int) -> tuple[ExprTree, int]:
+        node, height = self.term(depth)
         while True:
             tok = self._peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return node
+                return node, height
             self._advance()
-            rhs = self.term()
+            rhs, rhs_height = self.term(depth)
             node = Add(node, rhs) if tok[1] == "+" else Sub(node, rhs)
+            height = _deeper(max(height, rhs_height), tok)
 
-    def term(self) -> ExprTree:
-        node = self.factor()
+    def term(self, depth: int) -> tuple[ExprTree, int]:
+        node, height = self.factor(depth)
         while True:
             tok = self._peek()
             if tok is None or tok[0] != "op" or tok[1] not in "*/":
-                return node
+                return node, height
             self._advance()
-            rhs = self.factor()
+            rhs, rhs_height = self.factor(depth)
             node = Mul(node, rhs) if tok[1] == "*" else Div(node, rhs)
+            height = _deeper(max(height, rhs_height), tok)
 
-    def factor(self) -> ExprTree:
+    def factor(self, depth: int) -> tuple[ExprTree, int]:
         tok = self._peek()
         if tok is None:
             raise ExprSyntaxError("unexpected end of input", len(self.text))
         if tok[0] == "ident":
             self._advance()
-            return Leaf(self.names.index_for(tok[1]))
+            return Leaf(self.names.index_for(tok[1])), 0
         if tok[1] == "-":
             self._advance()
-            return Neg(self.factor())
+            child, height = self.factor(_deeper(depth, tok))
+            return Neg(child), _deeper(height, tok)
         if tok[1] == "(":
             self._advance()
-            node = self.expr()
+            node, height = self.expr(_deeper(depth, tok))
             closing = self._peek()
             if closing is None:
                 raise ExprSyntaxError("missing ')'", len(self.text))
             if closing[1] != ")":
                 raise ExprSyntaxError(f"expected ')', got {closing[1]!r}", closing[2])
             self._advance()
-            return node
+            return node, height
         raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+
+
+def _deeper(level: int, tok: tuple[str, str, int]) -> int:
+    """One level below ``level``; raises past MAX_DEPTH, blaming ``tok``."""
+    if level >= MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression nested deeper than {MAX_DEPTH} levels", tok[2]
+        )
+    return level + 1
 
 
 def parse(text: str, names: NameMap | None = None) -> tuple[ExprTree, NameMap]:
@@ -215,7 +235,11 @@ def _prec(node: ExprTree) -> int:
 
 
 def render(tree: ExprTree, names: NameMap | None = None) -> str:
-    """Parenthesized infix form; re-parsing reproduces the tree exactly."""
+    """Parenthesized infix form; re-parsing reproduces the tree exactly.
+
+    The text can nest up to twice as deep as the tree is high, so trees
+    more than ``MAX_DEPTH // 2`` levels high may not parse back.
+    """
 
     def name(i: int) -> str:
         return names.name_of(i) if names is not None else f"x{i}"

@@ -20,36 +20,24 @@ minus at any node position but never directly on top of another one):
 
 Enumeration is intentionally bounded: the raw tree space for k variables
 has roughly Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at
-k = 4 and 2e8 at k = 5, so anything above the cutoff (default 4, env
-override ``EXPRCOUNT_ORACLE_CUTOFF``) is rejected unless explicitly
-requested.
+k = 4 and 2e8 at k = 5, so anything above the cutoff (default 4) is
+rejected unless a larger ``cutoff`` is passed explicitly.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import IO, Iterator, Literal
+from typing import IO, Iterator, Literal, get_args
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
 from .rational import Frac
 
 DEFAULT_CUTOFF = 4
-CUTOFF_ENV_VAR = "EXPRCOUNT_ORACLE_CUTOFF"
 
 GrammarKind = Literal["sum", "product", "pi1", "pi2"]
-
-_KIND_ALIASES = {
-    "sum": "sum",
-    "sum-type": "sum",
-    "product": "product",
-    "product-type": "product",
-    "pi1": "pi1",
-    "pi2": "pi2",
-}
 
 # A shape is None for a leaf or a (left, right) pair of shapes.
 Shape = None | tuple
@@ -69,23 +57,10 @@ class ClassSet:
         return f in self.classes
 
 
-def resolve_cutoff(cutoff: int | None = None) -> int:
-    """Explicit argument beats the environment variable beats the default."""
-    if cutoff is not None:
-        return cutoff
-    raw = os.environ.get(CUTOFF_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CUTOFF
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CUTOFF_ENV_VAR} must be an integer, got {raw!r}")
-
-
 def _check_k(k: int, cutoff: int | None) -> None:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    limit = resolve_cutoff(cutoff)
+    limit = DEFAULT_CUTOFF if cutoff is None else cutoff
     if k > limit:
         raise ValueError(
             f"k={k} exceeds the enumeration cutoff {limit}; "
@@ -326,22 +301,20 @@ def enumerate_grammar(
 ) -> list[Frac]:
     """Structurally generated classes on x1..xk for one grammar kind.
 
-    ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2`` (hyphenated
-    ``sum-type`` / ``product-type`` spellings are accepted).  ``sum`` and
+    ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2``.  ``sum`` and
     ``product`` lists carry full signed classes; ``pi1`` and ``pi2`` carry
     one representative per sign pair.  List order is deterministic.
     """
     _check_k(k, cutoff)
-    norm = _KIND_ALIASES.get(kind)
-    if norm is None:
+    if kind not in get_args(GrammarKind):
         raise ValueError(f"unknown grammar kind {kind!r}")
     b = builder if builder is not None else _GrammarBuilder()
     vars_ = frozenset(range(1, k + 1))
-    if norm == "sum":
+    if kind == "sum":
         return list(b.sum_values(vars_))
-    if norm == "product":
+    if kind == "product":
         return list(b.product_values(vars_))
-    if norm == "pi2":
+    if kind == "pi2":
         return list(b.pi2_reps(vars_))
     return list(b.pi1_reps(vars_))
 

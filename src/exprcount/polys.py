@@ -15,6 +15,7 @@ comparing exponents of the lowest-indexed variable first.
 from __future__ import annotations
 
 import math
+import operator
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -61,13 +62,9 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(sorted(exps.items()))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def grlex_key(m: Monomial) -> tuple:
     """Sort key realizing graded-lex order with x1 > x2 > ... on ties."""
-    return (monomial_degree(m), tuple((-v, e) for v, e in m))
+    return (sum(e for _, e in m), tuple((-v, e) for v, e in m))
 
 
 class Poly:
@@ -125,11 +122,6 @@ class Poly:
                 out.add(v)
         return frozenset(out)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(monomial_degree(m) for m in self.terms)
-
     def degree_in(self, v: int) -> int:
         deg = 0
         for m in self.terms:
@@ -169,31 +161,26 @@ class Poly:
                     break
         return Poly(out)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not self.terms:
-            return other
+    def _merge(self, other: "Poly", op) -> "Poly":
+        # self + other or self - other, with op = operator.add / operator.sub
         if not other.terms:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
+            s = op(out.get(m, 0), c)
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
         return Poly._raw(out)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        if not self.terms:
+            return other
+        return self._merge(other, operator.add)
+
     def __sub__(self, other: "Poly") -> "Poly":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly._raw(out)
+        return self._merge(other, operator.sub)
 
     def __neg__(self) -> "Poly":
         return Poly._raw({m: -c for m, c in self.terms.items()})
@@ -211,13 +198,6 @@ class Poly:
                 else:
                     out.pop(m, None)
         return Poly._raw(out)
-
-    def mul_const(self, c: int) -> "Poly":
-        if c == 0:
-            return Poly.zero()
-        if c == 1:
-            return self
-        return Poly._raw({m: c * k for m, k in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -323,21 +303,6 @@ def _coeffs_in(p: Poly, v: int) -> dict[int, dict[Monomial, int]]:
     return out
 
 
-def _coeff_of(p: Poly, v: int, deg: int) -> Poly:
-    out: dict[Monomial, int] = {}
-    for m, c in p.terms.items():
-        d = 0
-        rest = m
-        for i, (var, e) in enumerate(m):
-            if var == v:
-                d = e
-                rest = m[:i] + m[i + 1 :]
-                break
-        if d == deg:
-            out[rest] = c
-    return Poly._raw(out)
-
-
 def _mul_by_power(p: Poly, v: int, e: int) -> Poly:
     if e == 0:
         return p
@@ -352,14 +317,16 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
     stripped as it appears; callers take primitive parts anyway, so only
     the remainder up to content matters.
     """
-    db = b.degree_in(v)
-    lead_b = _coeff_of(b, v, db)
+    coeffs = _coeffs_in(b, v)
+    db = max(coeffs)
+    lead_b = Poly._raw(coeffs[db])
     r = a
     while not r.is_zero():
-        dr = r.degree_in(v)
+        coeffs = _coeffs_in(r, v)
+        dr = max(coeffs)
         if dr < db:
             break
-        lead_r = _coeff_of(r, v, dr)
+        lead_r = Poly._raw(coeffs[dr])
         r = lead_b * r - _mul_by_power(lead_r, v, dr - db) * b
         ic = r.icontent()
         if ic > 1:

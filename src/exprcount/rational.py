@@ -17,15 +17,12 @@ from .polys import Poly, divexact, poly_gcd, poly_str
 
 
 class Frac:
-    """A canonical fraction num/den with gcd(num, den) = 1 and den > 0."""
+    """A canonical fraction num/den with gcd(num, den) = 1 and den > 0.
+
+    Build one from two polynomials with ``canonicalize(num, den)``.
+    """
 
     __slots__ = ("num", "den", "_hash")
-
-    def __init__(self, num: Poly, den: Poly):
-        f = canonicalize(num, den)
-        self.num = f.num
-        self.den = f.den
-        self._hash = None
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "Frac":
@@ -112,11 +109,6 @@ class Frac:
         return canonicalize(
             self.num.derivative(v) * self.den - self.num * self.den.derivative(v),
             self.den * self.den,
-        )
-
-    def equal_up_to_sign(self, other: "Frac") -> bool:
-        return self.den == other.den and (
-            self.num == other.num or self.num == -other.num
         )
 
     def positive_rep(self) -> "Frac":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from exprcount import Frac, Poly
+from exprcount import Add, Div, ExprTree, Frac, Leaf, Mul, Neg, Poly, Sub, canonicalize
 
 
 def random_poly(
@@ -37,10 +37,21 @@ def random_fraction(
 ) -> Frac:
     num = random_poly(rnd, variables, nonzero=nonzero)
     den = random_poly(rnd, variables, nonzero=True)
-    f = Frac(num, den)
+    f = canonicalize(num, den)
     if nonzero and f.is_zero():
         return Frac.const(rnd.randint(1, 4))
     return f
+
+
+def random_tree(rnd: random.Random, depth: int, max_index: int = 4) -> ExprTree:
+    """Tree of at most ``depth`` levels; leaves repeat among x1..x<max_index>."""
+    if depth == 0 or rnd.random() < 0.3:
+        return Leaf(rnd.randint(1, max_index))
+    kind = rnd.choice(["add", "sub", "mul", "div", "neg"])
+    if kind == "neg":
+        return Neg(random_tree(rnd, depth - 1, max_index))
+    ctor = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
+    return ctor(random_tree(rnd, depth - 1, max_index), random_tree(rnd, depth - 1, max_index))
 
 
 def disjoint_blocks(rnd: random.Random, count: int, width: int = 2) -> list[list[int]]:

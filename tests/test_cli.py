@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from exprcount import compute_table
+from exprcount import SequenceRow, SequenceTable, cli, compute_table
 from exprcount.cli import (
     main,
     table_from_csv,
@@ -54,6 +54,21 @@ def test_csv_round_trip():
     assert table_from_csv(table_to_csv(table, all_sequences=True)) == table
 
 
+def test_counts_past_the_int_str_digit_limit():
+    # counts from k = 1247 on pass CPython's default 4,300-digit limit on
+    # int<->str conversion; a hand-built table stands in for n >= 1247
+    big = 10**4999 + 12345
+    digits = "1" + "0" * 4994 + "12345"
+    rows = (SequenceRow(big, k, big + k, 2 * big, 3 * big + k) for k in (1, 2))
+    table = SequenceTable(tuple(rows))
+    text = table_to_json(table)
+    assert f'"S": "{digits}"' in text
+    assert table_from_json(text) == table
+    assert table_from_csv(table_to_csv(table, all_sequences=True)) == table
+    first_row = cli._format_table(table, False).splitlines()[1]
+    assert first_row.split() == ["1", "3" + "0" * 4994 + "37036"]
+
+
 def test_csv_values_are_exact_decimal_strings(capsys):
     code, out, _ = run(capsys, "count", "--n", "30", "--format", "csv", "--all-sequences")
     assert code == 0
@@ -98,6 +113,64 @@ def test_syntax_error_exits_2(capsys):
     assert "syntax error" in err
     code, _, err = run(capsys, "canon", "(a")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "-1"),
+        ("verify", "--max-k", "0"),
+        ("verify", "--max-k", "2", "--processes", "0"),
+        ("verify", "--max-k", "2", "--processes", "-2"),
+        ("bench", "--n", "0"),
+        ("bench", "--n", "8", "--repeat", "0"),
+    ],
+)
+def test_counts_below_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected an integer >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda d: "(" * d + "a" + ")" * d,
+        lambda d: "-" * d + "a",
+        lambda d: "+".join(["a"] * (d + 1)),
+    ],
+    ids=["parentheses", "unary-minus", "operator-chain"],
+)
+def test_nesting_depth_limit_exits_2(capsys, nest):
+    from exprcount.expressions import MAX_DEPTH
+
+    code, out, _ = run(capsys, "equiv", "--", nest(MAX_DEPTH), nest(MAX_DEPTH))
+    assert (code, out) == (0, "equivalent\n")
+    code, out, err = run(capsys, "equiv", "--", nest(MAX_DEPTH + 1), "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error: expression nested deeper than")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def fail(tree):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    code, out, err = run(capsys, "canon", "a")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: injected fault\n"
+
+    class Escape(BaseException):
+        pass
+
+    def escape(tree):
+        raise Escape()
+
+    # only Exception is mapped; BaseException subclasses still propagate
+    monkeypatch.setattr(cli, "evaluate", escape)
+    with pytest.raises(Escape):
+        main(["canon", "a"])
 
 
 def test_usage_error_exits_2(capsys):

@@ -5,12 +5,8 @@ import pytest
 from exprcount import (
     BASE_ROW,
     OpCounter,
-    PascalRow,
     SequenceRow,
-    SequenceTable,
-    advance,
     compute_table,
-    next_pascal_row,
 )
 
 
@@ -43,51 +39,10 @@ def test_small_rows_match_oracle_derived_values():
         assert table.row(k) == row
 
 
-def test_pascal_row_step():
-    row1 = PascalRow(1, (1, 1))
-    row2 = next_pascal_row(row1)
-    assert row2.entries == (1, 2, 1)
-    assert next_pascal_row(row2).entries == (1, 3, 3, 1)
-
-
-def test_pascal_row_invariants_through_row_10():
-    row = PascalRow(1, (1, 1))
-    for _ in range(9):
-        row = next_pascal_row(row)
-    assert row.k == 10
-    assert row.entries[0] == row.entries[-1] == 1
-    assert row.entries == row.entries[::-1]
-    assert sum(row.entries) == 2**10
-
-
-def test_pascal_row_validation():
-    with pytest.raises(ValueError):
-        PascalRow(2, (1, 1))
-    with pytest.raises(ValueError):
-        PascalRow(1, (1, 2))
-
-
-def test_advance_matches_compute_table():
-    rows = [BASE_ROW]
-    row_km1 = PascalRow(1, (1, 1))
-    row_k = next_pascal_row(row_km1)
-    for _ in range(2, 13):
-        rows.append(advance(SequenceTable(tuple(rows)), row_km1, row_k))
-        row_km1, row_k = row_k, next_pascal_row(row_k)
-    assert tuple(rows) == compute_table(12).rows
-
-
-def test_advance_validates_pascal_rows():
-    table = compute_table(3)
-    with pytest.raises(ValueError):
-        advance(table, PascalRow(1, (1, 1)), PascalRow(2, (1, 2, 1)))
-
-
 def test_prefix_stability():
     big = compute_table(60)
     for m in (1, 2, 17, 59, 60):
         assert compute_table(m).rows == big.rows[:m]
-        assert big.restrict(m).rows == big.rows[:m]
 
 
 def test_invariants_through_n_200():

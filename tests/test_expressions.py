@@ -18,16 +18,7 @@ from exprcount import (
     parse,
     render,
 )
-
-
-def rand_tree(rnd, depth, max_index=4):
-    if depth == 0 or rnd.random() < 0.3:
-        return Leaf(rnd.randint(1, max_index))
-    kind = rnd.choice(["add", "sub", "mul", "div", "neg"])
-    if kind == "neg":
-        return Neg(rand_tree(rnd, depth - 1, max_index))
-    ctor = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
-    return ctor(rand_tree(rnd, depth - 1, max_index), rand_tree(rnd, depth - 1, max_index))
+from genlib import random_tree
 
 
 def test_parse_unary_minus_in_parens():
@@ -88,9 +79,9 @@ def test_render_examples():
 
 def test_render_parse_round_trip_random():
     rnd = random.Random(2024)
-    identity = NameMap.identity(range(1, 5))
+    identity = NameMap({f"x{i}": i for i in range(1, 5)})
     for _ in range(500):
-        tree = rand_tree(rnd, 4)
+        tree = random_tree(rnd, 4)
         back, _ = parse(render(tree), identity)
         assert back == tree
 
@@ -121,7 +112,7 @@ def test_eliminate_subtraction_preserves_value():
     rnd = random.Random(99)
     checked = 0
     for _ in range(400):
-        tree = rand_tree(rnd, 4)
+        tree = random_tree(rnd, 4)
         try:
             value = evaluate(tree)
         except ZeroDivisionError:

@@ -17,7 +17,7 @@ from exprcount import (
     oracle_count,
     tree_shapes,
 )
-from exprcount.oracle import _GrammarBuilder, resolve_cutoff
+from exprcount.oracle import _GrammarBuilder
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
@@ -74,19 +74,6 @@ def test_cutoff_guard():
         oracle_count(0)
 
 
-def test_cutoff_env_override(monkeypatch):
-    monkeypatch.setenv("EXPRCOUNT_ORACLE_CUTOFF", "2")
-    assert resolve_cutoff(None) == 2
-    with pytest.raises(ValueError):
-        enumerate_tree_classes(3)
-    monkeypatch.setenv("EXPRCOUNT_ORACLE_CUTOFF", "banana")
-    with pytest.raises(ValueError):
-        resolve_cutoff(None)
-    monkeypatch.delenv("EXPRCOUNT_ORACLE_CUTOFF")
-    assert resolve_cutoff(None) == 4
-    assert resolve_cutoff(7) == 7
-
-
 def test_grammar_counts_match_engine():
     table = compute_table(4)
     for k in range(1, 5):
@@ -102,10 +89,10 @@ def test_grammar_counts_match_engine():
 
 
 def test_grammar_kind_aliases_and_validation():
-    assert enumerate_grammar(2, "sum-type") == enumerate_grammar(2, "sum")
-    assert enumerate_grammar(2, "product-type") == enumerate_grammar(2, "product")
-    with pytest.raises(ValueError):
-        enumerate_grammar(2, "mystery")
+    # only the four plain kind names are accepted; hyphenated spellings are not
+    for kind in ("mystery", "sum-type", "product-type"):
+        with pytest.raises(ValueError):
+            enumerate_grammar(2, kind)
 
 
 def test_grammar_base_case():
@@ -160,7 +147,7 @@ def test_difference_and_quotient_constant_corollaries():
             if not (f1 - f2).variables():
                 assert f1 == f2
             if not (f1 / f2).variables():
-                assert f1.equal_up_to_sign(f2)
+                assert f1 in (f2, -f2)
 
 
 def _witness_sum(list1, list2):
@@ -176,7 +163,7 @@ def _witness_sign(list1, list2):
     if len(list1) != len(list2):
         return False
     return any(
-        all(a.equal_up_to_sign(b) for a, b in zip(list1, perm))
+        all(a in (b, -b) for a, b in zip(list1, perm))
         for perm in permutations(list2)
     )
 
@@ -222,7 +209,7 @@ def test_product_decomposition_uniqueness_theorem():
         f1 = _prod(nums1) / _prod(dens1)
         f2 = _prod(nums2) / _prod(dens2)
         expected = _witness_sign(nums1, nums2) and _witness_sign(dens1, dens2)
-        assert f1.equal_up_to_sign(f2) == expected
+        assert (f1 in (f2, -f2)) == expected
 
 
 def _prod(fracs):

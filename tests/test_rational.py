@@ -81,15 +81,6 @@ def test_derivative_examples():
     assert ((f1 + f2) / f3).derivative(5).is_zero()
 
 
-def test_equal_up_to_sign():
-    a = f1 - f2
-    b = f2 - f1
-    assert a.equal_up_to_sign(b)
-    assert a.equal_up_to_sign(a)
-    assert not (f1 + f2).equal_up_to_sign(f1 - f2)
-    assert Frac.const(0).equal_up_to_sign(Frac.const(0))
-
-
 def test_positive_rep_picks_one_of_each_pair():
     a = f1 - f2
     assert a.positive_rep() == a

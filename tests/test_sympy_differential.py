@@ -1,0 +1,83 @@
+"""Differential checks of the polynomial/fraction core against sympy."""
+
+import operator
+import random
+
+import pytest
+
+from exprcount import Add, Div, Leaf, Mul, Neg, Sub, canonicalize, evaluate, poly_gcd
+from genlib import random_poly, random_tree
+
+sympy = pytest.importorskip("sympy")
+
+GENS = sympy.symbols("x1:5")
+OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def to_sympy(p):
+    """The exprcount Poly p as a sympy Poly over ZZ in x1..x4."""
+    exps = {}
+    for m, c in p.terms.items():
+        e = [0] * len(GENS)
+        for v, k in m:
+            e[v - 1] = k
+        exps[tuple(e)] = c
+    return sympy.Poly.from_dict(exps, *GENS, domain="ZZ")
+
+
+def as_expr(f):
+    """The exprcount Frac f as a sympy expression."""
+    return to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr()
+
+
+def tree_to_sympy(tree):
+    if isinstance(tree, Leaf):
+        return GENS[tree.index - 1]
+    if isinstance(tree, Neg):
+        return -tree_to_sympy(tree.child)
+    return OPS[type(tree)](tree_to_sympy(tree.left), tree_to_sympy(tree.right))
+
+
+def _pairs(seed, count):
+    # repeated variables on both sides, and a planted common factor half the
+    # time so that the gcds are not mostly trivial
+    rnd = random.Random(seed)
+    for _ in range(count):
+        a = random_poly(rnd, [1, 2, 3], nonzero=True)
+        b = random_poly(rnd, [2, 3, 4], nonzero=True)
+        if rnd.random() < 0.5:
+            common = random_poly(rnd, [1, 2, 4], nonzero=True)
+            a, b = a * common, b * common
+        yield a, b
+
+
+def test_gcd_matches_sympy_up_to_sign():
+    for a, b in _pairs(101, 300):
+        ours = to_sympy(poly_gcd(a, b))
+        theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+        assert ours in (theirs, -theirs)
+
+
+def test_canonicalize_matches_sympy_cancel():
+    for n, d in _pairs(202, 200):
+        f = canonicalize(n, d)
+        num, den = to_sympy(f.num), to_sympy(f.den)
+        assert sympy.gcd(num, den).as_expr() in (1, -1)
+        ratio = to_sympy(n).as_expr() / to_sympy(d).as_expr()
+        p, q = sympy.fraction(sympy.cancel(ratio))
+        assert sympy.expand(num.as_expr() * q - p * den.as_expr()) == 0
+
+
+def test_evaluate_matches_sympy_on_random_trees():
+    rnd = random.Random(303)
+    checked = 0
+    for _ in range(200):
+        tree = random_tree(rnd, 4)
+        try:
+            f = evaluate(tree)
+        except ZeroDivisionError:
+            continue
+        expected = sympy.cancel(tree_to_sympy(tree))
+        assert sympy.cancel(as_expr(f) - expected) == 0
+        checked += 1
+    assert checked >= 150
