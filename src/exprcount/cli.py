@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unsafe-large",
         action="store_true",
-        help="allow K beyond the enumeration cutoff (k=5 takes a long time)",
+        help="allow K beyond the enumeration cutoff (k=5 takes seconds)",
     )
     p.add_argument("--processes", type=_count_arg, default=1, metavar="P")
     p.set_defaults(func=_cmd_verify)

@@ -5,10 +5,11 @@ fractions reachable by expression trees on k distinct variables (each
 variable exactly one leaf, binary nodes +, -, *, /, an optional unary
 minus at any node position but never directly on top of another one):
 
-* ``enumerate_tree_classes`` walks every (tree shape, leaf labeling) pair
-  and collects the values of all operator/negation assignments for it.
-  Values are built compositionally: the value set of a subtree only
-  depends on its shape and leaves, so shared subtrees are computed once.
+* ``enumerate_tree_classes`` recurses over variable subsets.  A tree on
+  the variable set V with |V| >= 2 is +-(L-tree op R-tree) for an ordered
+  split V = L | R, and op acts elementwise on the value sets of the two
+  sides, so the values on V are the +-(u op w) over all splits, u a value
+  on L and w a value on R; each subset's value set is computed once.
   Skipping stacked negations loses no classes since -(-e) = e, and the
   binary ``-`` contributes no value that ``+`` against a negation-closed
   operand set does not already produce.
@@ -18,10 +19,11 @@ minus at any node position but never directly on top of another one):
   subsets.  Its output lists must be duplicate-free and exactly as long
   as the corresponding engine sequences; the tests enforce both.
 
-Enumeration is intentionally bounded: the raw tree space for k variables
-has roughly Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at
-k = 4 and 2e8 at k = 5, so anything above the cutoff (default 4) is
-rejected unless a larger ``cutoff`` is passed explicitly.
+Enumeration is intentionally bounded: k above the cutoff (default 4) is
+rejected unless a larger ``cutoff`` is passed explicitly.  The literal
+route, ``iter_expression_trees``, walks the raw tree space of roughly
+Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
+2e8 at k = 5; the subset recursion takes seconds at k = 5.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ GrammarKind = Literal["sum", "product", "pi1", "pi2"]
 
 # A shape is None for a leaf or a (left, right) pair of shapes.
 Shape = None | tuple
+
+# An ordered split of a variable set into two nonempty (left, right) parts.
+Split = tuple[frozenset[int], frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -87,43 +92,49 @@ def _leaf_count(shape: Shape) -> int:
     return _leaf_count(shape[0]) + _leaf_count(shape[1])
 
 
-def _subtree_values(
-    shape: Shape, leaves: tuple[int, ...], memo: dict
-) -> frozenset[Frac]:
-    """Values of every op/negation assignment over a fixed shape and leaves.
+def _splits(vars_: frozenset[int]) -> list[Split]:
+    """Every ordered split of vars_ into two nonempty parts.
 
-    Each returned set is closed under negation (the optional minus above
-    the subtree root), so binary subtraction never has to be applied: for
-    any w in the right set, -w is there too, making u - w redundant.
+    Left parts come by size, then lexicographically by their sorted members;
+    the grammar lists' order depends on this one.
     """
-    if shape is None:
-        x = Frac.variable(leaves[0])
+    pool = sorted(vars_)
+    out = []
+    for j in range(1, len(pool)):
+        for chosen in combinations(pool, j):
+            left = frozenset(chosen)
+            out.append((left, vars_ - left))
+    return out
+
+
+def _anchored_splits(vars_: frozenset[int]) -> list[Split]:
+    """The splits whose left part holds min(vars_): each unordered split once."""
+    anchor = min(vars_)
+    return [split for split in _splits(vars_) if anchor in split[0]]
+
+
+def _root_values(splits: list[Split], memo: dict) -> set[Frac]:
+    """Values of every tree whose root joins one of the given splits."""
+    out: set[Frac] = set()
+    for left, right in splits:
+        rights = _tree_values(right, memo)
+        for u in _tree_values(left, memo):
+            for w in rights:
+                for r in (u + w, u * w, u / w):
+                    out.add(r)
+                    out.add(-r)
+    return out
+
+
+def _tree_values(vars_: frozenset[int], memo: dict) -> frozenset[Frac]:
+    """Values of every tree that holds each variable of vars_ in one leaf."""
+    if len(vars_) == 1:
+        x = Frac.variable(min(vars_))
         return frozenset((x, -x))
-    key = (shape, leaves)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    nl = _leaf_count(shape[0])
-    left = _subtree_values(shape[0], leaves[:nl], memo)
-    right = _subtree_values(shape[1], leaves[nl:], memo)
-    out: set[Frac] = set()
-    for u in left:
-        for w in right:
-            for r in (u + w, u * w, u / w):
-                out.add(r)
-                out.add(-r)
-    result = frozenset(out)
-    memo[key] = result
-    return result
-
-
-def _chunk_class_values(args: tuple[Shape, tuple[tuple[int, ...], ...]]) -> frozenset[Frac]:
-    shape, labelings = args
-    memo: dict = {}
-    out: set[Frac] = set()
-    for leaves in labelings:
-        out |= _subtree_values(shape, leaves, memo)
-    return frozenset(out)
+    got = memo.get(vars_)
+    if got is None:
+        got = memo[vars_] = frozenset(_root_values(_splits(vars_), memo))
+    return got
 
 
 def enumerate_tree_classes(
@@ -131,24 +142,23 @@ def enumerate_tree_classes(
 ) -> ClassSet:
     """Deduplicated values of all expression trees on variables x1..xk.
 
-    The work splits into independent (shape, labeling) units whose local
-    class sets are merged by set union, so ``processes > 1`` distributes
-    the units without changing the result.
+    A tree on the variable set V with |V| >= 2 is +-(L-tree op R-tree)
+    for some ordered split V = L | R, and op acts elementwise on the two
+    value sets, so values(V) is built from values(L) and values(R) over
+    all splits, memoized by variable subset.  ``processes > 1`` hands
+    round-robin shares of the root splits to at most that many workers
+    (never more than there are splits); the union is the same.
     """
     _check_k(k, cutoff)
-    labelings = tuple(permutations(range(1, k + 1)))
-    shapes = tree_shapes(k)
-    if processes <= 1:
-        memo: dict = {}
-        out: set[Frac] = set()
-        for shape in shapes:
-            for leaves in labelings:
-                out |= _subtree_values(shape, leaves, memo)
-        return ClassSet(k, frozenset(out))
-    jobs = [(shape, labelings) for shape in shapes]
+    vars_ = frozenset(range(1, k + 1))
+    splits = _splits(vars_)
+    workers = min(processes, len(splits))
+    if workers <= 1:
+        return ClassSet(k, _tree_values(vars_, {}))
+    shares = [splits[i::workers] for i in range(workers)]
     merged: set[Frac] = set()
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        for part in pool.map(_chunk_class_values, jobs):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_root_values, shares, [{} for _ in shares]):
             merged |= part
     return ClassSet(k, frozenset(merged))
 
@@ -218,16 +228,11 @@ class _GrammarBuilder:
             out = [x, -x]
         else:
             out = []
-            anchor = min(vars_)
-            rest_pool = sorted(vars_ - {anchor})
-            for j in range(1, len(vars_)):
-                for extra in combinations(rest_pool, j - 1):
-                    head_vars = frozenset((anchor, *extra))
-                    tail_vars = vars_ - head_vars
-                    tails = self.all_values(tail_vars)
-                    for p in self.product_values(head_vars):
-                        for a in tails:
-                            out.append(p + a)
+            for head_vars, tail_vars in _anchored_splits(vars_):
+                tails = self.all_values(tail_vars)
+                for p in self.product_values(head_vars):
+                    for a in tails:
+                        out.append(p + a)
         self._sum[vars_] = out
         return out
 
@@ -240,16 +245,11 @@ class _GrammarBuilder:
         if len(vars_) == 1:
             return []
         out = []
-        anchor = min(vars_)
-        rest_pool = sorted(vars_ - {anchor})
-        for j in range(1, len(vars_)):
-            for extra in combinations(rest_pool, j - 1):
-                head_vars = frozenset((anchor, *extra))
-                tail_vars = vars_ - head_vars
-                tails = self.pi1_reps(tail_vars)
-                for s in self.sum_reps(head_vars):
-                    for r in tails:
-                        out.append((s * r).positive_rep())
+        for head_vars, tail_vars in _anchored_splits(vars_):
+            tails = self.pi1_reps(tail_vars)
+            for s in self.sum_reps(head_vars):
+                for r in tails:
+                    out.append((s * r).positive_rep())
         return out
 
     def pi1_reps(self, vars_: frozenset[int]) -> list[Frac]:
@@ -275,17 +275,13 @@ class _GrammarBuilder:
             for q in self.pi2_reps(vars_):
                 out.append(q)
                 out.append(-q)
-            pool = sorted(vars_)
-            for j in range(1, len(vars_)):
-                for chosen in combinations(pool, j):
-                    num_vars = frozenset(chosen)
-                    den_vars = vars_ - num_vars
-                    dens = self.pi1_reps(den_vars)
-                    for n in self.pi1_reps(num_vars):
-                        for d in dens:
-                            f = n / d
-                            out.append(f)
-                            out.append(-f)
+            for num_vars, den_vars in _splits(vars_):
+                dens = self.pi1_reps(den_vars)
+                for n in self.pi1_reps(num_vars):
+                    for d in dens:
+                        f = n / d
+                        out.append(f)
+                        out.append(-f)
         self._product[vars_] = out
         return out
 

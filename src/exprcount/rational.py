@@ -158,4 +158,3 @@ def canonicalize(num: Poly, den: Poly) -> Frac:
 
 
 ZERO = Frac._raw(Poly.zero(), Poly.one())
-ONE = Frac._raw(Poly.one(), Poly.one())

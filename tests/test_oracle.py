@@ -17,6 +17,7 @@ from exprcount import (
     oracle_count,
     tree_shapes,
 )
+from exprcount import oracle
 from exprcount.oracle import _GrammarBuilder
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
@@ -60,9 +61,39 @@ def test_literal_tree_count():
 
 
 def test_parallel_enumeration_identical():
-    single = enumerate_tree_classes(3, processes=1)
-    multi = enumerate_tree_classes(3, processes=2)
-    assert single.classes == multi.classes
+    # k = 1 has no root split to share out and runs serially
+    for k in (1, 3, 4):
+        single = enumerate_tree_classes(k, processes=1)
+        multi = enumerate_tree_classes(k, processes=2)
+        assert single.classes == multi.classes
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, seen, max_workers=None):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_worker_pool_capped_at_root_splits(monkeypatch):
+    # k = 3 has 2^3 - 2 = 6 ordered root splits, so a larger request must
+    # not reach the pool (fork would start every worker at once)
+    seen = []
+    monkeypatch.setattr(
+        oracle, "ProcessPoolExecutor", lambda **kw: _SerialPool(seen, **kw)
+    )
+    result = enumerate_tree_classes(3, processes=10**6)
+    assert seen and all(n <= 6 for n in seen)
+    assert result.classes == enumerate_tree_classes(3).classes
 
 
 def test_cutoff_guard():
@@ -112,9 +143,14 @@ def test_sum_and_product_types_disjoint_for_k_at_least_2():
 
 
 def test_grammar_union_equals_tree_classes():
-    for k in (1, 2, 3):
-        union = set(enumerate_grammar(k, "sum")) | set(enumerate_grammar(k, "product"))
-        assert union == enumerate_tree_classes(k).classes
+    table = compute_table(5)
+    for k in (1, 2, 3, 4, 5):
+        builder = _GrammarBuilder()
+        union = set(enumerate_grammar(k, "sum", cutoff=5, builder=builder))
+        union |= set(enumerate_grammar(k, "product", cutoff=5, builder=builder))
+        classes = enumerate_tree_classes(k, cutoff=5).classes
+        assert union == classes
+        assert len(classes) == table.row(k).A
 
 
 def test_classes_have_full_variable_sets():
