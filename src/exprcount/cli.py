@@ -24,16 +24,16 @@ import json
 import sys
 import time
 
-from .counting import OpCounter, SequenceRow, SequenceTable, compute_table
+from .counting import OpCounter, SequenceTable, compute_table
 from .expressions import ExprSyntaxError, NameMap, evaluate, parse
 from .oracle import DEFAULT_CUTOFF, oracle_count
 
 _COLUMNS = ("S", "Q", "R", "P", "A")
 
 # CPython refuses int<->str conversions of more than 4,300 digits by default,
-# and counts pass that from k = 1247 on.  Past the limit the two helpers below
-# convert in pieces of _DIGITS digits, under the smallest limit CPython
-# accepts (640), so any count converts whatever the process-wide limit is.
+# and counts pass that from k = 1247 on.  Past the limit _to_decimal converts
+# in pieces of _DIGITS digits, under the smallest limit CPython accepts (640),
+# so any count converts whatever the process-wide limit is.
 _DIGITS = 600
 _BASE = 10**_DIGITS
 
@@ -56,19 +56,6 @@ def _to_decimal(v: int) -> str:
     return "".join(reversed(pieces))
 
 
-def _from_decimal(text: str) -> int:
-    """int(text) for a decimal string of any length."""
-    if len(text) <= _DIGITS:
-        return int(text)
-    if not text.isdigit():
-        raise ValueError(f"not a decimal count: {text[:20]}...")
-    head = len(text) % _DIGITS or _DIGITS
-    v = int(text[:head])
-    for i in range(head, len(text), _DIGITS):
-        v = v * _BASE + int(text[i : i + _DIGITS])
-    return v
-
-
 def table_to_json(table: SequenceTable) -> str:
     """Serialize with counts as decimal strings (no precision loss)."""
     rows = [
@@ -76,18 +63,6 @@ def table_to_json(table: SequenceTable) -> str:
         for k, row in enumerate(table.rows, start=1)
     ]
     return json.dumps({"n": table.n, "rows": rows}, indent=2)
-
-
-def table_from_json(text: str) -> SequenceTable:
-    data = json.loads(text)
-    rows = []
-    for i, rec in enumerate(data["rows"], start=1):
-        if rec["k"] != i:
-            raise ValueError(f"row {i} carries k={rec['k']}")
-        rows.append(SequenceRow(*(_from_decimal(rec[c]) for c in _COLUMNS)))
-    if data["n"] != len(rows):
-        raise ValueError("row count does not match n")
-    return SequenceTable(tuple(rows))
 
 
 def table_to_csv(table: SequenceTable, all_sequences: bool = True) -> str:
@@ -102,19 +77,6 @@ def table_to_csv(table: SequenceTable, all_sequences: bool = True) -> str:
         for k, row in enumerate(table.rows, start=1):
             writer.writerow((k, _to_decimal(row.A)))
     return buf.getvalue()
-
-
-def table_from_csv(text: str) -> SequenceTable:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != ("k",) + _COLUMNS:
-        raise ValueError("CSV must carry all five sequences (header k,S,Q,R,P,A)")
-    rows = []
-    for i, rec in enumerate(reader, start=1):
-        if int(rec[0]) != i:
-            raise ValueError(f"row {i} carries k={rec[0]}")
-        rows.append(SequenceRow(*(_from_decimal(v) for v in rec[1:])))
-    return SequenceTable(tuple(rows))
 
 
 def _format_table(table: SequenceTable, all_sequences: bool) -> str:

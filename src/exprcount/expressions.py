@@ -110,12 +110,6 @@ class NameMap:
     def name_of(self, index: int) -> str:
         return self._by_index.get(index, f"x{index}")
 
-    def items(self) -> list[tuple[str, int]]:
-        return sorted(self._by_name.items(), key=lambda kv: kv[1])
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/()]))")
 
@@ -124,7 +118,6 @@ class _Parser:
     def __init__(self, text: str, names: NameMap):
         self.text = text
         self.names = names
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.i = 0

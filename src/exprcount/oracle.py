@@ -6,10 +6,12 @@ variable exactly one leaf, binary nodes +, -, *, /, an optional unary
 minus at any node position but never directly on top of another one):
 
 * ``enumerate_tree_classes`` recurses over variable subsets.  A tree on
-  the variable set V with |V| >= 2 is +-(L-tree op R-tree) for an ordered
-  split V = L | R, and op acts elementwise on the value sets of the two
-  sides, so the values on V are the +-(u op w) over all splits, u a value
-  on L and w a value on R; each subset's value set is computed once.
+  the variable set V with |V| >= 2 is +-(L-tree op R-tree) for a split
+  V = L | R, and op acts elementwise on the value sets of the two sides,
+  so the values on V are the +-(u + w), +-(u * w), +-(u / w) and +-(w / u)
+  over the unordered splits {L, R}, u a value on L and w a value on R
+  (+ and * commute, so the mirrored split adds only w / u); each subset's
+  value set is computed once.
   Skipping stacked negations loses no classes since -(-e) = e, and the
   binary ``-`` contributes no value that ``+`` against a negation-closed
   operand set does not already produce.
@@ -57,9 +59,6 @@ class ClassSet:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def __contains__(self, f: Frac) -> bool:
-        return f in self.classes
 
 
 def _check_k(k: int, cutoff: int | None) -> None:
@@ -114,13 +113,17 @@ def _anchored_splits(vars_: frozenset[int]) -> list[Split]:
 
 
 def _root_values(splits: list[Split], memo: dict) -> set[Frac]:
-    """Values of every tree whose root joins one of the given splits."""
+    """Values of every tree whose root joins one of the given splits.
+
+    Each split stands for itself and its mirror: the mirror repeats the
+    sums and products and adds only the reversed quotients w/u.
+    """
     out: set[Frac] = set()
     for left, right in splits:
         rights = _tree_values(right, memo)
         for u in _tree_values(left, memo):
             for w in rights:
-                for r in (u + w, u * w, u / w):
+                for r in (u + w, u * w, u / w, w / u):
                     out.add(r)
                     out.add(-r)
     return out
@@ -133,7 +136,7 @@ def _tree_values(vars_: frozenset[int], memo: dict) -> frozenset[Frac]:
         return frozenset((x, -x))
     got = memo.get(vars_)
     if got is None:
-        got = memo[vars_] = frozenset(_root_values(_splits(vars_), memo))
+        got = memo[vars_] = frozenset(_root_values(_anchored_splits(vars_), memo))
     return got
 
 
@@ -143,15 +146,16 @@ def enumerate_tree_classes(
     """Deduplicated values of all expression trees on variables x1..xk.
 
     A tree on the variable set V with |V| >= 2 is +-(L-tree op R-tree)
-    for some ordered split V = L | R, and op acts elementwise on the two
-    value sets, so values(V) is built from values(L) and values(R) over
-    all splits, memoized by variable subset.  ``processes > 1`` hands
-    round-robin shares of the root splits to at most that many workers
-    (never more than there are splits); the union is the same.
+    for some split V = L | R, and op acts elementwise on the two value
+    sets, so values(V) is built from values(L) and values(R) over the
+    unordered splits {L, R} (u+w, u*w, u/w and w/u each), memoized by
+    variable subset.  ``processes > 1`` hands round-robin shares of the
+    2^(k-1) - 1 unordered root splits to at most that many workers (never
+    more than there are splits); the union is the same.
     """
     _check_k(k, cutoff)
     vars_ = frozenset(range(1, k + 1))
-    splits = _splits(vars_)
+    splits = _anchored_splits(vars_)
     workers = min(processes, len(splits))
     if workers <= 1:
         return ClassSet(k, _tree_values(vars_, {}))

@@ -347,10 +347,10 @@ def _content_in(p: Poly, v: int) -> Poly:
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd over the integer polynomial ring, primitive-PRS style.
 
-    Treats both inputs as univariate in their lowest shared variable with
-    polynomial coefficients, and recurses on contents.  The result has a
-    positive graded-lex leading coefficient; gcd(p, 0) = +/-p normalized,
-    gcd(0, 0) = 0.
+    Treats both inputs as univariate in the lowest-indexed variable of
+    either, with polynomial coefficients, and recurses on contents.  The
+    result has a positive graded-lex leading coefficient; gcd(p, 0) =
+    +/-p normalized, gcd(0, 0) = 0.
     """
     if p.is_zero():
         return normalize_sign(q)
@@ -383,9 +383,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         a, b = b, a
 
     while True:
-        if b.is_zero():
-            g = a
-            break
         if b.degree_in(v) == 0:
             # b is primitive in x_v with degree zero, hence a unit.
             g = Poly.one()

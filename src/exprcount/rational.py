@@ -44,9 +44,6 @@ class Frac:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def variables(self) -> frozenset[int]:
         """Set of variable indices contained by the fraction."""
         return self.num.variables() | self.den.variables()

@@ -1,17 +1,15 @@
-"""Command-line behavior: subcommands, formats, exit codes, round-trips."""
+"""Command-line behavior: subcommands, formats, exit codes, serialized counts."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from exprcount import SequenceRow, SequenceTable, cli, compute_table
-from exprcount.cli import (
-    main,
-    table_from_csv,
-    table_from_json,
-    table_to_csv,
-    table_to_json,
-)
+from exprcount.cli import main, table_to_csv, table_to_json
+
+COLUMNS = ("S", "Q", "R", "P", "A")
 
 
 def run(capsys, *argv):
@@ -44,29 +42,52 @@ def test_count_json_schema(capsys):
     assert all(isinstance(row["A"], str) for row in data["rows"])
 
 
+def _json_rows(text):
+    data = json.loads(text)
+    assert data["n"] == len(data["rows"])
+    return [[str(rec["k"])] + [rec[c] for c in COLUMNS] for rec in data["rows"]]
+
+
+def _csv_rows(text):
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["k", *COLUMNS]
+    return rows
+
+
+def _str_rows(table):
+    return [[str(k)] + [str(v) for v in row] for k, row in enumerate(table.rows, 1)]
+
+
 def test_json_round_trip():
     table = compute_table(40)
-    assert table_from_json(table_to_json(table)) == table
+    assert _json_rows(table_to_json(table)) == _str_rows(table)
 
 
 def test_csv_round_trip():
     table = compute_table(40)
-    assert table_from_csv(table_to_csv(table, all_sequences=True)) == table
+    assert _csv_rows(table_to_csv(table, all_sequences=True)) == _str_rows(table)
 
 
 def test_counts_past_the_int_str_digit_limit():
     # counts from k = 1247 on pass CPython's default 4,300-digit limit on
     # int<->str conversion; a hand-built table stands in for n >= 1247
     big = 10**4999 + 12345
-    digits = "1" + "0" * 4994 + "12345"
     rows = (SequenceRow(big, k, big + k, 2 * big, 3 * big + k) for k in (1, 2))
     table = SequenceTable(tuple(rows))
-    text = table_to_json(table)
-    assert f'"S": "{digits}"' in text
-    assert table_from_json(text) == table
-    assert table_from_csv(table_to_csv(table, all_sequences=True)) == table
+
+    def digits(lead, tail):
+        # the decimal string of lead * 10**4999 + tail, tail < 10**5
+        return str(lead) + "0" * 4994 + str(tail).zfill(5)
+
+    expected = [
+        [str(k), digits(1, 12345), str(k)]
+        + [digits(1, 12345 + k), digits(2, 24690), digits(3, 37035 + k)]
+        for k in (1, 2)
+    ]
+    assert _json_rows(table_to_json(table)) == expected
+    assert _csv_rows(table_to_csv(table, all_sequences=True)) == expected
     first_row = cli._format_table(table, False).splitlines()[1]
-    assert first_row.split() == ["1", "3" + "0" * 4994 + "37036"]
+    assert first_row.split() == ["1", digits(3, 37036)]
 
 
 def test_csv_values_are_exact_decimal_strings(capsys):

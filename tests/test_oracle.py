@@ -85,14 +85,14 @@ class _SerialPool:
 
 
 def test_worker_pool_capped_at_root_splits(monkeypatch):
-    # k = 3 has 2^3 - 2 = 6 ordered root splits, so a larger request must
+    # k = 3 has 2^2 - 1 = 3 unordered root splits, so a larger request must
     # not reach the pool (fork would start every worker at once)
     seen = []
     monkeypatch.setattr(
         oracle, "ProcessPoolExecutor", lambda **kw: _SerialPool(seen, **kw)
     )
     result = enumerate_tree_classes(3, processes=10**6)
-    assert seen and all(n <= 6 for n in seen)
+    assert seen and all(n <= 3 for n in seen)
     assert result.classes == enumerate_tree_classes(3).classes
 
 
