@@ -230,8 +230,9 @@ def _prec(node: ExprTree) -> int:
 def render(tree: ExprTree, names: NameMap | None = None) -> str:
     """Parenthesized infix form; re-parsing reproduces the tree exactly.
 
-    The text can nest up to twice as deep as the tree is high, so trees
-    more than ``MAX_DEPTH // 2`` levels high may not parse back.
+    Each ``(`` wraps a binary node and each ``-`` prefix is a ``Neg``, so
+    the text nests no deeper than the tree is high and stays within
+    ``MAX_DEPTH`` for every tree that ``parse`` returns.
     """
 
     def name(i: int) -> str:
@@ -242,12 +243,12 @@ def render(tree: ExprTree, names: NameMap | None = None) -> str:
             return name(node.index)
         if isinstance(node, Neg):
             inner = go(node.child)
-            return f"-{inner}" if isinstance(node.child, Leaf) else f"-({inner})"
+            return f"-{inner}" if isinstance(node.child, (Leaf, Neg)) else f"-({inner})"
         op = _BINARY[type(node)]
         left, right = go(node.left), go(node.right)
-        if _prec(node.left) < _prec(node) or isinstance(node.left, Neg):
+        if _prec(node.left) < _prec(node):
             left = f"({left})"
-        if _prec(node.right) <= _prec(node) or isinstance(node.right, Neg):
+        if _prec(node.right) <= _prec(node):
             right = f"({right})"
         return f"{left} {op} {right}"
 

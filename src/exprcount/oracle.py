@@ -8,18 +8,19 @@ minus at any node position but never directly on top of another one):
 * ``enumerate_tree_classes`` recurses over variable subsets.  A tree on
   the variable set V with |V| >= 2 is +-(L-tree op R-tree) for a split
   V = L | R, and op acts elementwise on the value sets of the two sides,
-  so the values on V are the +-(u + w), +-(u * w), +-(u / w) and +-(w / u)
+  so the values on V are +-(u + w), +-(u * w), +-q and +-1/q, q = u / w,
   over the unordered splits {L, R}, u a value on L and w a value on R
-  (+ and * commute, so the mirrored split adds only w / u); each subset's
-  value set is computed once.
+  (the mirrored split repeats the sums and products, and its quotients
+  are the reciprocals 1/q); each subset's value set is computed once.
   Skipping stacked negations loses no classes since -(-e) = e, and the
   binary ``-`` contributes no value that ``+`` against a negation-closed
   operand set does not already produce.
 
 * ``enumerate_grammar`` builds sum-type / product-type / Pi1 / Pi2
   expressions structurally from their decompositions over variable
-  subsets.  Its output lists must be duplicate-free and exactly as long
-  as the corresponding engine sequences; the tests enforce both.
+  subsets, visiting each unordered split once.  Its output lists must be
+  duplicate-free and exactly as long as the corresponding engine
+  sequences; the tests enforce both.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
@@ -32,21 +33,19 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations, product
-from typing import IO, Iterator, Literal, get_args
+from typing import IO, Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
 from .rational import Frac
 
 DEFAULT_CUTOFF = 4
 
-GrammarKind = Literal["sum", "product", "pi1", "pi2"]
-
 # A shape is None for a leaf or a (left, right) pair of shapes.
 Shape = None | tuple
 
-# An ordered split of a variable set into two nonempty (left, right) parts.
+# A split of a variable set into nonempty parts (left holding the minimum).
 Split = tuple[frozenset[int], frozenset[int]]
 
 
@@ -92,38 +91,34 @@ def _leaf_count(shape: Shape) -> int:
 
 
 def _splits(vars_: frozenset[int]) -> list[Split]:
-    """Every ordered split of vars_ into two nonempty parts.
+    """Each unordered split of vars_ into two nonempty parts, once.
 
-    Left parts come by size, then lexicographically by their sorted members;
-    the grammar lists' order depends on this one.
+    The left part is min(vars_) plus a subset of the rest; left parts come
+    by size, then lexicographically by their sorted members, and the
+    grammar lists' order depends on this one.
     """
-    pool = sorted(vars_)
+    anchor, *rest = sorted(vars_)
     out = []
-    for j in range(1, len(pool)):
-        for chosen in combinations(pool, j):
-            left = frozenset(chosen)
+    for j in range(len(rest)):
+        for chosen in combinations(rest, j):
+            left = frozenset((anchor, *chosen))
             out.append((left, vars_ - left))
     return out
-
-
-def _anchored_splits(vars_: frozenset[int]) -> list[Split]:
-    """The splits whose left part holds min(vars_): each unordered split once."""
-    anchor = min(vars_)
-    return [split for split in _splits(vars_) if anchor in split[0]]
 
 
 def _root_values(splits: list[Split], memo: dict) -> set[Frac]:
     """Values of every tree whose root joins one of the given splits.
 
     Each split stands for itself and its mirror: the mirror repeats the
-    sums and products and adds only the reversed quotients w/u.
+    sums and products and adds only the reciprocals of the quotients u/w.
     """
     out: set[Frac] = set()
     for left, right in splits:
         rights = _tree_values(right, memo)
         for u in _tree_values(left, memo):
             for w in rights:
-                for r in (u + w, u * w, u / w, w / u):
+                q = u / w
+                for r in (u + w, u * w, q, q.reciprocal()):
                     out.add(r)
                     out.add(-r)
     return out
@@ -136,7 +131,7 @@ def _tree_values(vars_: frozenset[int], memo: dict) -> frozenset[Frac]:
         return frozenset((x, -x))
     got = memo.get(vars_)
     if got is None:
-        got = memo[vars_] = frozenset(_root_values(_anchored_splits(vars_), memo))
+        got = memo[vars_] = frozenset(_root_values(_splits(vars_), memo))
     return got
 
 
@@ -148,14 +143,14 @@ def enumerate_tree_classes(
     A tree on the variable set V with |V| >= 2 is +-(L-tree op R-tree)
     for some split V = L | R, and op acts elementwise on the two value
     sets, so values(V) is built from values(L) and values(R) over the
-    unordered splits {L, R} (u+w, u*w, u/w and w/u each), memoized by
+    unordered splits {L, R} (u+w, u*w, u/w and its reciprocal), memoized by
     variable subset.  ``processes > 1`` hands round-robin shares of the
     2^(k-1) - 1 unordered root splits to at most that many workers (never
     more than there are splits); the union is the same.
     """
     _check_k(k, cutoff)
     vars_ = frozenset(range(1, k + 1))
-    splits = _anchored_splits(vars_)
+    splits = _splits(vars_)
     workers = min(processes, len(splits))
     if workers <= 1:
         return ClassSet(k, _tree_values(vars_, {}))
@@ -207,6 +202,19 @@ def enumerate_tree_classes_literal(k: int, cutoff: int | None = None) -> ClassSe
     )
 
 
+def _memoized(method):
+    """Cache method(self, vars_) in the builder's one memo dict."""
+
+    @wraps(method)
+    def cached(self: "_GrammarBuilder", vars_: frozenset[int]) -> list[Frac]:
+        got = self._memo.get((method, vars_))
+        if got is None:
+            got = self._memo[method, vars_] = method(self, vars_)
+        return got
+
+    return cached
+
+
 class _GrammarBuilder:
     """Structural generation of expression classes over variable subsets.
 
@@ -215,80 +223,62 @@ class _GrammarBuilder:
     numerator/denominator factor groups, counted up to sign and re-signed
     at the end.  Each class is generated exactly once -- the uniqueness
     theorems for these decompositions are what the duplicate-freedom
-    tests exercise.
+    tests exercise.  Each list is memoized per subset; callers must not mutate it.
     """
 
     def __init__(self) -> None:
-        self._sum: dict[frozenset[int], list[Frac]] = {}
-        self._product: dict[frozenset[int], list[Frac]] = {}
-        self._pi1: dict[frozenset[int], list[Frac]] = {}
+        self._memo: dict[tuple, list[Frac]] = {}
 
+    @_memoized
     def sum_values(self, vars_: frozenset[int]) -> list[Frac]:
-        got = self._sum.get(vars_)
-        if got is not None:
-            return got
         if len(vars_) == 1:
-            x = Frac.variable(min(vars_))
-            out = [x, -x]
-        else:
-            out = []
-            for head_vars, tail_vars in _anchored_splits(vars_):
-                tails = self.all_values(tail_vars)
-                for p in self.product_values(head_vars):
-                    for a in tails:
-                        out.append(p + a)
-        self._sum[vars_] = out
+            return self.all_values(vars_)
+        out = []
+        for head_vars, tail_vars in _splits(vars_):
+            tails = self.all_values(tail_vars)
+            for p in self.product_values(head_vars):
+                for a in tails:
+                    out.append(p + a)
         return out
 
+    @_memoized
     def sum_reps(self, vars_: frozenset[int]) -> list[Frac]:
         """Sum-type classes up to sign: one representative per +/- pair."""
         return [f for f in self.sum_values(vars_) if f.positive_rep() is f]
 
+    @_memoized
     def pi2_reps(self, vars_: frozenset[int]) -> list[Frac]:
         """Products of >= 2 sum-type factors on disjoint variables, up to sign."""
-        if len(vars_) == 1:
-            return []
         out = []
-        for head_vars, tail_vars in _anchored_splits(vars_):
+        for head_vars, tail_vars in _splits(vars_):
             tails = self.pi1_reps(tail_vars)
             for s in self.sum_reps(head_vars):
                 for r in tails:
                     out.append((s * r).positive_rep())
         return out
 
+    @_memoized
     def pi1_reps(self, vars_: frozenset[int]) -> list[Frac]:
-        got = self._pi1.get(vars_)
-        if got is not None:
-            return got
-        if len(vars_) == 1:
-            out = [Frac.variable(min(vars_))]
-        else:
-            out = self.pi2_reps(vars_) + self.sum_reps(vars_)
-        self._pi1[vars_] = out
-        return out
+        return self.pi2_reps(vars_) + self.sum_reps(vars_)
 
+    @_memoized
     def product_values(self, vars_: frozenset[int]) -> list[Frac]:
-        got = self._product.get(vars_)
-        if got is not None:
-            return got
         if len(vars_) == 1:
-            x = Frac.variable(min(vars_))
-            out = [x, -x]
-        else:
-            out = []
-            for q in self.pi2_reps(vars_):
-                out.append(q)
-                out.append(-q)
-            for num_vars, den_vars in _splits(vars_):
-                dens = self.pi1_reps(den_vars)
-                for n in self.pi1_reps(num_vars):
-                    for d in dens:
-                        f = n / d
-                        out.append(f)
-                        out.append(-f)
-        self._product[vars_] = out
+            return self.all_values(vars_)
+        out = []
+        for q in self.pi2_reps(vars_):
+            out.append(q)
+            out.append(-q)
+        for num_vars, den_vars in _splits(vars_):
+            dens = self.pi1_reps(den_vars)
+            for n in self.pi1_reps(num_vars):
+                for d in dens:
+                    f = n / d
+                    g = f.reciprocal()
+                    out += (f, -f, g, -g)
         return out
 
+    @_memoized
     def all_values(self, vars_: frozenset[int]) -> list[Frac]:
         if len(vars_) == 1:
             x = Frac.variable(min(vars_))
@@ -303,20 +293,18 @@ def enumerate_grammar(
 
     ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2``.  ``sum`` and
     ``product`` lists carry full signed classes; ``pi1`` and ``pi2`` carry
-    one representative per sign pair.  List order is deterministic.
+    one representative per sign pair.  List order is deterministic; each
+    quotient of a product list sits next to its reciprocal, and the sums
+    built from them follow that order.
     """
     _check_k(k, cutoff)
-    if kind not in get_args(GrammarKind):
-        raise ValueError(f"unknown grammar kind {kind!r}")
     b = builder if builder is not None else _GrammarBuilder()
-    vars_ = frozenset(range(1, k + 1))
-    if kind == "sum":
-        return list(b.sum_values(vars_))
-    if kind == "product":
-        return list(b.product_values(vars_))
-    if kind == "pi2":
-        return list(b.pi2_reps(vars_))
-    return list(b.pi1_reps(vars_))
+    lists = {
+        "sum": b.sum_values, "product": b.product_values, "pi1": b.pi1_reps, "pi2": b.pi2_reps
+    }
+    if kind not in lists:
+        raise ValueError(f"unknown grammar kind {kind!r}")
+    return list(lists[kind](frozenset(range(1, k + 1))))
 
 
 def dump_classes(class_set: ClassSet, out: IO[str]) -> None:

@@ -91,11 +91,16 @@ class Frac:
             return ZERO
         g1 = poly_gcd(self.num, other.num)
         g2 = poly_gcd(self.den, other.den)
-        num = divexact(self.num, g1) * divexact(other.den, g2)
-        den = divexact(self.den, g2) * divexact(other.num, g1)
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        return Frac._raw(num, den)
+        return _signed(
+            divexact(self.num, g1) * divexact(other.den, g2),
+            divexact(self.den, g2) * divexact(other.num, g1),
+        )
+
+    def reciprocal(self) -> "Frac":
+        """1/self: the swapped pair is still coprime, so only its sign is fixed."""
+        if self.num.is_zero():
+            raise ZeroDivisionError("reciprocal of the zero fraction")
+        return _signed(self.den, self.num)
 
     def __neg__(self) -> "Frac":
         # Negating the numerator keeps the pair canonical.
@@ -147,11 +152,14 @@ def canonicalize(num: Poly, den: Poly) -> Frac:
     if num.is_zero():
         return Frac._raw(Poly.zero(), Poly.one())
     g = poly_gcd(num, den)
-    n = divexact(num, g)
-    d = divexact(den, g)
-    if d.leading_coeff() < 0:
-        n, d = -n, -d
-    return Frac._raw(n, d)
+    return _signed(divexact(num, g), divexact(den, g))
+
+
+def _signed(num: Poly, den: Poly) -> Frac:
+    """The Frac of a coprime pair, both signs flipped if den leads negative."""
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return Frac._raw(num, den)
 
 
 ZERO = Frac._raw(Poly.zero(), Poly.one())

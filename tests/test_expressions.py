@@ -18,6 +18,7 @@ from exprcount import (
     parse,
     render,
 )
+from exprcount.expressions import MAX_DEPTH
 from genlib import random_tree
 
 
@@ -70,7 +71,7 @@ def test_name_map_first_occurrence_order():
 
 
 def test_render_examples():
-    assert render(Sub(Leaf(1), Neg(Leaf(2))), NameMap({"a": 1, "b": 2})) == "a - (-b)"
+    assert render(Sub(Leaf(1), Neg(Leaf(2))), NameMap({"a": 1, "b": 2})) == "a - -b"
     assert render(Leaf(1)) == "x1"
     tree = Mul(Sub(Leaf(1), Leaf(2)), Sub(Leaf(3), Leaf(4)))
     nm = NameMap({"a": 1, "b": 2, "c": 3, "d": 4})
@@ -84,6 +85,29 @@ def test_render_parse_round_trip_random():
         tree = random_tree(rnd, 4)
         back, _ = parse(render(tree), identity)
         assert back == tree
+
+
+def _nest(wrap, depth):
+    tree = Leaf(1)
+    for _ in range(depth):
+        tree = wrap(tree)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        _nest(Neg, MAX_DEPTH),
+        _nest(lambda t: Neg(Add(Leaf(2), t)), MAX_DEPTH // 2),
+        _nest(lambda t: Mul(Leaf(2), Neg(t)), MAX_DEPTH // 2),
+    ],
+    ids=["unary-minus-chain", "neg-add-alternation", "mul-neg-chain"],
+)
+def test_render_of_deepest_trees_parses_back(tree):
+    # each tree is MAX_DEPTH levels high, the most that parse returns, so its
+    # text parses back only if it nests no deeper than the tree is high
+    identity = NameMap({"x1": 1, "x2": 2})
+    assert parse(render(tree), identity)[0] == tree
 
 
 def test_eliminate_subtraction_examples():

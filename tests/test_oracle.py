@@ -18,7 +18,7 @@ from exprcount import (
     tree_shapes,
 )
 from exprcount import oracle
-from exprcount.oracle import _GrammarBuilder
+from exprcount.oracle import _GrammarBuilder, _splits
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
@@ -96,6 +96,17 @@ def test_worker_pool_capped_at_root_splits(monkeypatch):
     assert result.classes == enumerate_tree_classes(3).classes
 
 
+@pytest.mark.parametrize("size", range(1, 7))
+def test_splits_are_each_unordered_split_once(size):
+    vars_ = frozenset(range(3, 3 + 2 * size, 2))
+    splits = _splits(vars_)
+    assert len(splits) == 2 ** (size - 1) - 1
+    for left, right in splits:
+        assert left and right and left | right == vars_ and not left & right
+        assert min(vars_) in left
+    assert len({frozenset(split) for split in splits}) == len(splits)
+
+
 def test_cutoff_guard():
     with pytest.raises(ValueError):
         enumerate_tree_classes(5)
@@ -140,6 +151,16 @@ def test_grammar_is_duplicate_free():
 def test_sum_and_product_types_disjoint_for_k_at_least_2():
     for k in (2, 3):
         assert not set(enumerate_grammar(k, "sum")) & set(enumerate_grammar(k, "product"))
+
+
+def test_shared_builder_matches_fresh_builders_in_any_call_order():
+    kinds = ("sum", "product", "pi1", "pi2")
+    for k in range(1, 5):
+        fresh = {kind: enumerate_grammar(k, kind) for kind in kinds}
+        for order in permutations(kinds):
+            builder = _GrammarBuilder()
+            for kind in order:
+                assert enumerate_grammar(k, kind, builder=builder) == fresh[kind]
 
 
 def test_grammar_union_equals_tree_classes():

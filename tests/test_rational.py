@@ -55,6 +55,17 @@ def test_mul_inverse_pair():
     assert (f1 / f2) * (f2 / f1) == Frac.const(1)
 
 
+def test_reciprocal_swaps_the_canonical_pair():
+    rnd = random.Random(77)
+    one = Frac.const(1)
+    for _ in range(200):
+        f = random_fraction(rnd, [1, 2, 3], nonzero=True)
+        assert f.reciprocal() == one / f
+        assert f.reciprocal().reciprocal() == f
+    with pytest.raises(ZeroDivisionError):
+        canonicalize(Poly.zero(), x1).reciprocal()
+
+
 def test_division_by_zero_fraction():
     with pytest.raises(ZeroDivisionError):
         f1 / Frac.const(0)
