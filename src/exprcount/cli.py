@@ -18,11 +18,10 @@ its wall-clock timings to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
+from itertools import chain
+from typing import Iterator, TextIO
 
 from .counting import OpCounter, SequenceTable, compute_table
 from .expressions import ExprSyntaxError, NameMap, evaluate, parse
@@ -56,50 +55,67 @@ def _to_decimal(v: int) -> str:
     return "".join(reversed(pieces))
 
 
-def table_to_json(table: SequenceTable) -> str:
-    """Serialize with counts as decimal strings (no precision loss)."""
-    rows = [
-        {"k": k, **{c: _to_decimal(v) for c, v in zip(_COLUMNS, row)}}
-        for k, row in enumerate(table.rows, start=1)
+# The writers below emit one row at a time, so the text of a whole table
+# never exists in memory: a count command holds the table plus one row.
+
+
+def _decimal_rows(table: SequenceTable, cols: tuple[str, ...]) -> Iterator[list[str]]:
+    """[str(k), decimal of each column in cols] for k = 1..n, one row at a time."""
+    for k, row in enumerate(table.rows, start=1):
+        yield [str(k), *(_to_decimal(getattr(row, c)) for c in cols)]
+
+
+def table_to_json(table: SequenceTable, out: TextIO) -> None:
+    """Write {"n": n, "rows": [{"k": k, "S": "...", ...}, ...]} to out.
+
+    Counts are decimal strings (no precision loss).  The text is exactly
+    ``json.dumps(..., indent=2) + "\\n"``: every value is an int or a string
+    of digits, so nothing needs escaping.
+    """
+    out.write(f'{{\n  "n": {table.n},\n  "rows": [')
+    sep = "\n"
+    for k, *values in _decimal_rows(table, _COLUMNS):
+        fields = "".join(f',\n      "{c}": "{v}"' for c, v in zip(_COLUMNS, values))
+        out.write(f'{sep}    {{\n      "k": {k}{fields}\n    }}')
+        sep = ",\n"
+    out.write("\n  ]\n}\n")
+
+
+def table_to_csv(table: SequenceTable, out: TextIO, all_sequences: bool = True) -> None:
+    """Write comma-separated rows to out, the bytes ``csv.writer`` would write.
+
+    Every cell is a column name or a string of digits, so none needs
+    quoting; joining them also spares the 128 KB record buffer that a
+    ``csv.writer`` allocates for even a one-cell row.
+    """
+    cols = _COLUMNS if all_sequences else ("A",)
+    for cells in chain([("k",) + cols], _decimal_rows(table, cols)):
+        out.write(",".join(cells) + "\n")
+
+
+def _format_table(table: SequenceTable, out: TextIO, all_sequences: bool) -> None:
+    """Write right-aligned columns to out.
+
+    Counts are nonnegative, so a column's widest decimal is that of its
+    largest value: one conversion per column fixes every width up front.
+    """
+    cols = _COLUMNS if all_sequences else ("A",)
+    widths = [max(len("k"), len(str(table.n)))] + [
+        max(len(c), len(_to_decimal(max(getattr(row, c) for row in table.rows))))
+        for c in cols
     ]
-    return json.dumps({"n": table.n, "rows": rows}, indent=2)
-
-
-def table_to_csv(table: SequenceTable, all_sequences: bool = True) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if all_sequences:
-        writer.writerow(("k",) + _COLUMNS)
-        for k, row in enumerate(table.rows, start=1):
-            writer.writerow((k,) + tuple(_to_decimal(v) for v in row))
-    else:
-        writer.writerow(("k", "A"))
-        for k, row in enumerate(table.rows, start=1):
-            writer.writerow((k, _to_decimal(row.A)))
-    return buf.getvalue()
-
-
-def _format_table(table: SequenceTable, all_sequences: bool) -> str:
-    cols = ("k",) + (_COLUMNS if all_sequences else ("A",))
-    data = [
-        [str(k)] + [_to_decimal(getattr(row, c)) for c in cols[1:]]
-        for k, row in enumerate(table.rows, start=1)
-    ]
-    widths = [max(len(col), *(len(r[i]) for r in data)) for i, col in enumerate(cols)]
-    lines = ["  ".join(c.rjust(w) for c, w in zip(cols, widths))]
-    for r in data:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+    for cells in chain([("k",) + cols], _decimal_rows(table, cols)):
+        out.write("  ".join(v.rjust(w) for v, w in zip(cells, widths)) + "\n")
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     table = compute_table(args.n)
     if args.format == "json":
-        print(table_to_json(table))
+        table_to_json(table, sys.stdout)
     elif args.format == "csv":
-        sys.stdout.write(table_to_csv(table, all_sequences=args.all_sequences))
+        table_to_csv(table, sys.stdout, all_sequences=args.all_sequences)
     else:
-        sys.stdout.write(_format_table(table, args.all_sequences))
+        _format_table(table, sys.stdout, args.all_sequences)
     return 0
 
 

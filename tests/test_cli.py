@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -58,14 +59,20 @@ def _str_rows(table):
     return [[str(k)] + [str(v) for v in row] for k, row in enumerate(table.rows, 1)]
 
 
+def _written(writer, table, *args):
+    out = io.StringIO()
+    writer(table, out, *args)
+    return out.getvalue()
+
+
 def test_json_round_trip():
     table = compute_table(40)
-    assert _json_rows(table_to_json(table)) == _str_rows(table)
+    assert _json_rows(_written(table_to_json, table)) == _str_rows(table)
 
 
 def test_csv_round_trip():
     table = compute_table(40)
-    assert _csv_rows(table_to_csv(table, all_sequences=True)) == _str_rows(table)
+    assert _csv_rows(_written(table_to_csv, table, True)) == _str_rows(table)
 
 
 def test_counts_past_the_int_str_digit_limit():
@@ -84,10 +91,108 @@ def test_counts_past_the_int_str_digit_limit():
         + [digits(1, 12345 + k), digits(2, 24690), digits(3, 37035 + k)]
         for k in (1, 2)
     ]
-    assert _json_rows(table_to_json(table)) == expected
-    assert _csv_rows(table_to_csv(table, all_sequences=True)) == expected
-    first_row = cli._format_table(table, False).splitlines()[1]
+    assert _json_rows(_written(table_to_json, table)) == expected
+    assert _csv_rows(_written(table_to_csv, table, True)) == expected
+    first_row = _written(cli._format_table, table, False).splitlines()[1]
     assert first_row.split() == ["1", digits(3, 37036)]
+
+
+# Independent renderings of the three count formats, each built whole in
+# memory: by json.dumps, by csv.writer, and from the width of every string.
+
+
+def _columns(all_sequences):
+    return COLUMNS if all_sequences else ("A",)
+
+
+def _reference_json(table):
+    rows = [
+        {"k": k, **{c: str(v) for c, v in zip(COLUMNS, row)}}
+        for k, row in enumerate(table.rows, 1)
+    ]
+    return json.dumps({"n": table.n, "rows": rows}, indent=2) + "\n"
+
+
+def _reference_csv(table, cols):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("k",) + cols)
+    for k, row in enumerate(table.rows, 1):
+        writer.writerow([k] + [str(getattr(row, c)) for c in cols])
+    return buf.getvalue()
+
+
+def _reference_table(table, cols):
+    header = ("k",) + cols
+    data = [
+        [str(k)] + [str(getattr(row, c)) for c in cols]
+        for k, row in enumerate(table.rows, 1)
+    ]
+    # every width from every string of its column
+    widths = [max(len(h), *(len(r[i]) for r in data)) for i, h in enumerate(header)]
+    lines = [header, *data]
+    return "".join("  ".join(v.rjust(w) for v, w in zip(r, widths)) + "\n" for r in lines)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_json_writer_matches_json_dumps(n):
+    table = compute_table(n)
+    assert _written(table_to_json, table) == _reference_json(table)
+
+
+@pytest.mark.parametrize("all_sequences", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_csv_writer_matches_buffered_csv(n, all_sequences):
+    table = compute_table(n)
+    expected = _reference_csv(table, _columns(all_sequences))
+    assert _written(table_to_csv, table, all_sequences) == expected
+
+
+@pytest.mark.parametrize("all_sequences", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_table_writer_matches_widths_of_every_string(n, all_sequences):
+    table = compute_table(n)
+    expected = _reference_table(table, _columns(all_sequences))
+    assert _written(cli._format_table, table, all_sequences) == expected
+
+
+class _CharCount:
+    """A text sink that keeps nothing but the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.fixture(scope="module")
+def table_300():
+    return compute_table(300)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda table, out: table_to_json(table, out),
+        lambda table, out: table_to_csv(table, out, True),
+        lambda table, out: cli._format_table(table, out, True),
+    ],
+    ids=["json", "csv", "table"],
+)
+def test_writers_hold_one_row_not_the_text(table_300, write):
+    # tracemalloc counts Python allocations, so the peak is deterministic;
+    # a writer that built the whole text first would peak above its size
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        write(table_300, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 500_000
+    assert peak < sink.chars / 10
 
 
 def test_csv_values_are_exact_decimal_strings(capsys):

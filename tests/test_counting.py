@@ -1,5 +1,9 @@
 """Recurrence engine: base values, derived rows, invariants, memory shape."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from exprcount import (
@@ -78,3 +82,76 @@ def test_table_is_immutable_and_indexable():
         table.row(0)
     with pytest.raises(IndexError):
         table.row(6)
+
+
+# Analytic cross-checks.  The recurrence implies closed forms for the
+# exponential generating functions F(x) = sum_k F_k x^k / k! of the five
+# sequences, and through them the growth rate of A_k.  They test the
+# engine's implementation (an index slip, a wrong binomial row) at k far
+# beyond what enumeration reaches; the oracle tests the combinatorics.
+
+EGF_TERMS = 30
+
+
+def _egf(table, column, scale=1):
+    """Coefficients x^0..x^n of the EGF of one column, times scale."""
+    return [Fraction(0)] + [
+        Fraction(getattr(row, column), factorial(k)) * scale
+        for k, row in enumerate(table.rows, start=1)
+    ]
+
+
+def _exp(f):
+    """Coefficients of e^f for f(0) = 0, by the recurrence E' = f'E."""
+    e = [Fraction(1)]
+    for m in range(1, len(f)):
+        e.append(sum(j * f[j] * e[m - j] for j in range(1, m + 1)) / m)
+    return e
+
+
+def test_egf_identities():
+    table = compute_table(EGF_TERMS)
+    a, s, p, r = (_egf(table, c) for c in "ASPR")
+    one = [Fraction(1)] + [Fraction(0)] * EGF_TERMS
+    x = [Fraction(0), Fraction(1)] + [Fraction(0)] * (EGF_TERMS - 1)
+    exp_s, exp_half_s = _exp(s), _exp(_egf(table, "S", Fraction(1, 2)))
+    # 1 + A = e^P
+    assert [u + v for u, v in zip(one, a)] == _exp(p)
+    # A = 2 e^S - 2 e^(S/2)
+    assert a == [2 * u - 2 * v for u, v in zip(exp_s, exp_half_s)]
+    # A = S + P - 2x
+    assert a == [u + v - 2 * w for u, v, w in zip(s, p, x)]
+    # 1 + R = e^(S/2), the one identity that involves R
+    assert [u + v for u, v in zip(one, r)] == exp_half_s
+
+
+def _growth_rate():
+    """rho, the radius of convergence of the EGF of A.
+
+    x(S) = S/2 + u - u^2 + ln(2u^2 - 2u + 1)/2 with u = e^(S/2) inverts S(x);
+    dx/dS vanishes where 4u^4 - 6u^3 + 2u - 1 = 0, at u* in [1.3, 1.4], and
+    rho = x(S*) = ln u* + u* - u*^2 + ln(2u*^2 - 2u* + 1)/2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lo, hi = Decimal("1.3"), Decimal("1.4")
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if 4 * mid**4 - 6 * mid**3 + 2 * mid - 1 < 0:
+                lo = mid
+            else:
+                hi = mid
+        u = lo
+        return u.ln() + u - u * u + (2 * u * u - 2 * u + 1).ln() / 2
+
+
+def test_growth_ratio_matches_singularity_at_n_400():
+    # A_n ~ C n! rho^-n n^(-3/2), so A_n / (n A_(n-1)) -> (1/rho) ((n-1)/n)^(3/2)
+    # with a relative error falling as n^-2 (2.3e-6 at n = 400)
+    rho = _growth_rate()
+    assert abs(rho - Decimal("0.16142418304")) < Decimal("1e-11")
+    n = 400
+    table = compute_table(n)
+    ratio = Fraction(table.row(n).A, n * table.row(n - 1).A)
+    predicted = (1 / float(rho)) * ((n - 1) / n) ** 1.5
+    assert abs(float(ratio) / predicted - 1) < 1e-5
