@@ -34,12 +34,10 @@ from .expressions import (
 from .oracle import (
     ClassSet,
     DEFAULT_CUTOFF,
-    dump_classes,
     enumerate_grammar,
     enumerate_tree_classes,
     enumerate_tree_classes_literal,
     iter_expression_trees,
-    oracle_count,
     tree_shapes,
 )
 from .polys import Monomial, Poly, divexact, normalize_sign, poly_gcd, poly_str
@@ -70,7 +68,6 @@ __all__ = [
     "canonicalize",
     "compute_table",
     "divexact",
-    "dump_classes",
     "eliminate_subtraction",
     "enumerate_grammar",
     "enumerate_tree_classes",
@@ -78,7 +75,6 @@ __all__ = [
     "evaluate",
     "iter_expression_trees",
     "normalize_sign",
-    "oracle_count",
     "parse",
     "poly_gcd",
     "poly_str",

@@ -3,7 +3,7 @@
 Subcommands::
 
     count  --n N [--format table|csv|json] [--all-sequences]
-    verify --max-k K [--unsafe-large] [--processes P]
+    verify --max-k K [--unsafe-large]
     equiv  EXPR1 EXPR2
     canon  EXPR
     bench  --n N [--repeat R]
@@ -25,7 +25,7 @@ from typing import Iterator, TextIO
 
 from .counting import OpCounter, SequenceTable, compute_table
 from .expressions import ExprSyntaxError, NameMap, evaluate, parse
-from .oracle import DEFAULT_CUTOFF, oracle_count
+from .oracle import DEFAULT_CUTOFF, enumerate_tree_classes
 
 _COLUMNS = ("S", "Q", "R", "P", "A")
 
@@ -131,7 +131,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     table = compute_table(k_max)
     failures = 0
     for k in range(1, k_max + 1):
-        counted = oracle_count(k, cutoff=k_max, processes=args.processes)
+        counted = len(enumerate_tree_classes(k, cutoff=k_max))
         expected = table.row(k).A
         status = "PASS" if counted == expected else "FAIL"
         if counted != expected:
@@ -214,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow K beyond the enumeration cutoff (k=5 takes seconds)",
     )
-    p.add_argument("--processes", type=_count_arg, default=1, metavar="P")
+    # Accepted and validated but selects nothing: the enumeration is serial.
+    # Kept only because perfbench's verify argv still passes --processes 1.
+    p.add_argument("--processes", type=_count_arg, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("equiv", help="decide whether two expressions are equivalent")

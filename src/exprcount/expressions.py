@@ -125,7 +125,8 @@ class _Parser:
     def _tokenize(self) -> None:
         pos = 0
         text = self.text
-        while pos < len(text):
+        end = len(text.rstrip())  # trailing whitespace alone matches no token
+        while pos < end:
             m = _TOKEN_RE.match(text, pos)
             if m is None:
                 stripped = text[pos:].lstrip()

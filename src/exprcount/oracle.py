@@ -31,11 +31,10 @@ Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, permutations, product
-from typing import IO, Iterator
+from typing import Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
 from .rational import Frac
@@ -106,65 +105,42 @@ def _splits(vars_: frozenset[int]) -> list[Split]:
     return out
 
 
-def _root_values(splits: list[Split], memo: dict) -> set[Frac]:
-    """Values of every tree whose root joins one of the given splits.
-
-    Each split stands for itself and its mirror: the mirror repeats the
-    sums and products and adds only the reciprocals of the quotients u/w.
-    """
-    out: set[Frac] = set()
-    for left, right in splits:
-        rights = _tree_values(right, memo)
-        for u in _tree_values(left, memo):
-            for w in rights:
-                q = u / w
-                for r in (u + w, u * w, q, q.reciprocal()):
-                    out.add(r)
-                    out.add(-r)
-    return out
-
-
 def _tree_values(vars_: frozenset[int], memo: dict) -> frozenset[Frac]:
-    """Values of every tree that holds each variable of vars_ in one leaf."""
+    """Values of every tree that holds each variable of vars_ in one leaf.
+
+    Each unordered split stands for itself and its mirror: the mirror
+    repeats the sums and products and adds only the reciprocals of the
+    quotients u/w.
+    """
     if len(vars_) == 1:
         x = Frac.variable(min(vars_))
         return frozenset((x, -x))
     got = memo.get(vars_)
     if got is None:
-        got = memo[vars_] = frozenset(_root_values(_splits(vars_), memo))
+        out: set[Frac] = set()
+        for left, right in _splits(vars_):
+            rights = _tree_values(right, memo)
+            for u in _tree_values(left, memo):
+                for w in rights:
+                    q = u / w
+                    for r in (u + w, u * w, q, q.reciprocal()):
+                        out.add(r)
+                        out.add(-r)
+        got = memo[vars_] = frozenset(out)
     return got
 
 
-def enumerate_tree_classes(
-    k: int, cutoff: int | None = None, processes: int = 1
-) -> ClassSet:
+def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     """Deduplicated values of all expression trees on variables x1..xk.
 
     A tree on the variable set V with |V| >= 2 is +-(L-tree op R-tree)
     for some split V = L | R, and op acts elementwise on the two value
     sets, so values(V) is built from values(L) and values(R) over the
     unordered splits {L, R} (u+w, u*w, u/w and its reciprocal), memoized by
-    variable subset.  ``processes > 1`` hands round-robin shares of the
-    2^(k-1) - 1 unordered root splits to at most that many workers (never
-    more than there are splits); the union is the same.
+    variable subset.
     """
     _check_k(k, cutoff)
-    vars_ = frozenset(range(1, k + 1))
-    splits = _splits(vars_)
-    workers = min(processes, len(splits))
-    if workers <= 1:
-        return ClassSet(k, _tree_values(vars_, {}))
-    shares = [splits[i::workers] for i in range(workers)]
-    merged: set[Frac] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_root_values, shares, [{} for _ in shares]):
-            merged |= part
-    return ClassSet(k, frozenset(merged))
-
-
-def oracle_count(k: int, cutoff: int | None = None, processes: int = 1) -> int:
-    """Number of equivalence classes on exactly k variables, by enumeration."""
-    return len(enumerate_tree_classes(k, cutoff=cutoff, processes=processes))
+    return ClassSet(k, _tree_values(frozenset(range(1, k + 1)), {}))
 
 
 def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTree]:
@@ -305,9 +281,3 @@ def enumerate_grammar(
     if kind not in lists:
         raise ValueError(f"unknown grammar kind {kind!r}")
     return list(lists[kind](frozenset(range(1, k + 1))))
-
-
-def dump_classes(class_set: ClassSet, out: IO[str]) -> None:
-    """Write one canonical fraction per line, in sorted rendering order."""
-    for line in sorted(f.render() for f in class_set.classes):
-        out.write(line + "\n")

@@ -203,8 +203,6 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        # Keys and coefficients are ints/tuples, so the hash is stable
-        # across processes (independent of PYTHONHASHSEED).
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash

@@ -231,6 +231,8 @@ def test_canon_output(capsys):
     assert out.strip() == "(x1*x2)/(x3)"
     code, out, _ = run(capsys, "canon", "a/b + c")
     assert out.strip() == "(x2*x3 + x1)/(x2)"
+    code, out, _ = run(capsys, "canon", "(a*b)/c ")
+    assert (code, out) == (0, "(x1*x2)/(x3)\n")
 
 
 def test_syntax_error_exits_2(capsys):
@@ -239,6 +241,9 @@ def test_syntax_error_exits_2(capsys):
     assert "syntax error" in err
     code, _, err = run(capsys, "canon", "(a")
     assert code == 2
+    code, _, err = run(capsys, "canon", "   ")
+    assert code == 2
+    assert "syntax error: empty input" in err
 
 
 @pytest.mark.parametrize(
@@ -312,6 +317,8 @@ def test_verify_small(capsys):
     assert lines[0] == "k=1: oracle=2 engine=2 PASS"
     assert lines[1] == "k=2: oracle=10 engine=10 PASS"
     assert lines[-1] == "all 2 checks passed"
+    # --processes is still accepted and validated, and changes nothing
+    assert run(capsys, "verify", "--max-k", "2", "--processes", "2")[:2] == (0, out)
 
 
 def test_verify_refuses_large_without_flag(capsys):

@@ -59,6 +59,10 @@ def test_parse_errors_carry_position():
         parse("(a+b")
     with pytest.raises(ExprSyntaxError):
         parse("a b")
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("   ")
+    assert str(exc.value).startswith("empty input")
+    assert parse(" a\t\n")[0] == Leaf(1)
 
 
 def test_name_map_first_occurrence_order():

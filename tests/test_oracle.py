@@ -1,6 +1,5 @@
 """Enumeration oracle: tree classes, grammar generation, theorem checks."""
 
-import io
 import random
 from itertools import permutations
 
@@ -9,15 +8,12 @@ import pytest
 from exprcount import (
     Frac,
     compute_table,
-    dump_classes,
     enumerate_grammar,
     enumerate_tree_classes,
     enumerate_tree_classes_literal,
     iter_expression_trees,
-    oracle_count,
     tree_shapes,
 )
-from exprcount import oracle
 from exprcount.oracle import _GrammarBuilder, _splits
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
@@ -30,7 +26,7 @@ def test_shape_counts_are_catalan():
 def test_k1_classes():
     cs = enumerate_tree_classes(1)
     assert cs.classes == {X[1], -X[1]}
-    assert oracle_count(1) == 2
+    assert len(enumerate_tree_classes(1)) == 2
 
 
 def test_k2_classes_match_manual_listing():
@@ -44,7 +40,7 @@ def test_k2_classes_match_manual_listing():
 def test_oracle_agrees_with_engine_small_k():
     table = compute_table(3)
     for k in (1, 2, 3):
-        assert oracle_count(k) == table.row(k).A
+        assert len(enumerate_tree_classes(k)) == table.row(k).A
 
 
 def test_literal_enumeration_agrees_with_batched():
@@ -58,42 +54,6 @@ def test_literal_tree_count():
     # Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) raw trees
     assert sum(1 for _ in iter_expression_trees(2)) == 1 * 2 * 4 * 8
     assert sum(1 for _ in iter_expression_trees(3)) == 2 * 6 * 16 * 32
-
-
-def test_parallel_enumeration_identical():
-    # k = 1 has no root split to share out and runs serially
-    for k in (1, 3, 4):
-        single = enumerate_tree_classes(k, processes=1)
-        multi = enumerate_tree_classes(k, processes=2)
-        assert single.classes == multi.classes
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    def __init__(self, seen, max_workers=None):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_worker_pool_capped_at_root_splits(monkeypatch):
-    # k = 3 has 2^2 - 1 = 3 unordered root splits, so a larger request must
-    # not reach the pool (fork would start every worker at once)
-    seen = []
-    monkeypatch.setattr(
-        oracle, "ProcessPoolExecutor", lambda **kw: _SerialPool(seen, **kw)
-    )
-    result = enumerate_tree_classes(3, processes=10**6)
-    assert seen and all(n <= 3 for n in seen)
-    assert result.classes == enumerate_tree_classes(3).classes
 
 
 @pytest.mark.parametrize("size", range(1, 7))
@@ -113,7 +73,7 @@ def test_cutoff_guard():
     with pytest.raises(ValueError):
         enumerate_tree_classes(3, cutoff=2)
     with pytest.raises(ValueError):
-        oracle_count(0)
+        enumerate_tree_classes(0)
 
 
 def test_grammar_counts_match_engine():
@@ -277,16 +237,8 @@ def _prod(fracs):
 
 
 def test_dump_classes_deterministic_and_golden():
-    cs = enumerate_tree_classes(2)
-    buf = io.StringIO()
-    dump_classes(cs, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines == sorted(lines)
+    lines = sorted(f.render() for f in enumerate_tree_classes(2).classes)
     assert len(lines) == 10
-    expected = sorted(f.render() for f in cs.classes)
-    assert lines == expected
     assert "(x1 + x2)/(1)" in lines
     assert "(x2)/(x1)" in lines
-    again = io.StringIO()
-    dump_classes(enumerate_tree_classes(2), again)
-    assert again.getvalue() == buf.getvalue()
+    assert lines == sorted(f.render() for f in enumerate_tree_classes(2).classes)
