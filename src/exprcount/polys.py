@@ -10,10 +10,18 @@ Python ints, so there is no overflow anywhere.
 The monomial order used for leading terms, rendering and sign conventions
 is graded lexicographic: higher total degree wins, ties are broken by
 comparing exponents of the lowest-indexed variable first.
+
+``poly_gcd`` is exact: after cheap exits for trivial and monomial inputs it
+tries the heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
+interpolate), accepts a candidate only when it divides both inputs, and
+falls back to a primitive pseudo-remainder sequence when every evaluation
+point fails.  ``divexact`` keeps its remainder's terms in a heap, so each
+step finds the leading term in logarithmic time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 
@@ -64,7 +72,18 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
 
 def grlex_key(m: Monomial) -> tuple:
     """Sort key realizing graded-lex order with x1 > x2 > ... on ties."""
-    return (sum(e for _, e in m), tuple((-v, e) for v, e in m))
+    return (sum(e for _, e in m), _lex_key(m))
+
+
+def _lex_key(m: Monomial) -> tuple:
+    """Sort key realizing pure lex order with x1 > x2 > ..."""
+    return tuple((-v, e) for v, e in m)
+
+
+def _grlex_desc_key(m: Monomial) -> tuple:
+    # Reverses grlex_key: within one total degree no key is a prefix of
+    # another, so negating every component reverses the comparison.
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
 
 
 class Poly:
@@ -247,7 +266,14 @@ def normalize_sign(p: Poly) -> Poly:
 
 
 def divexact(p: Poly, d: Poly) -> Poly:
-    """Exact division p/d; raises ArithmeticError when d does not divide p."""
+    """Exact division p/d; raises ArithmeticError when d does not divide p.
+
+    A constant divisor divides coefficient by coefficient.  Otherwise the
+    remainder's monomials sit in a heap ordered by descending grlex; a
+    monomial is pushed when it enters the remainder, entries whose term has
+    since cancelled are skipped, and the leading term is cancelled by
+    popping it, so each step costs the divisor's terms plus a heap operation.
+    """
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
@@ -266,23 +292,33 @@ def divexact(p: Poly, d: Poly) -> Poly:
         return Poly._raw(out)
     lead_m = d.leading_monomial()
     lead_c = d.terms[lead_m]
+    tail = [(dm, dc) for dm, dc in d.terms.items() if dm != lead_m]
     rem = dict(p.terms)
+    heap = [(_grlex_desc_key(m), m) for m in rem]
+    heapq.heapify(heap)
     out: dict[Monomial, int] = {}
-    while rem:
-        m = max(rem, key=grlex_key)
-        c = rem[m]
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rem.pop(m, 0)
+        if not c:
+            continue  # cancelled after it was pushed
         qm = monomial_div(m, lead_m)
         if qm is None or c % lead_c != 0:
             raise ArithmeticError("inexact polynomial division")
         qc = c // lead_c
         out[qm] = qc
-        for dm, dc in d.terms.items():
+        for dm, dc in tail:
             t = monomial_mul(qm, dm)
-            s = rem.get(t, 0) - qc * dc
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -qc * dc
+                heapq.heappush(heap, (_grlex_desc_key(t), t))
+                continue
+            s = old - qc * dc
             if s:
                 rem[t] = s
             else:
-                rem.pop(t, None)
+                del rem[t]
     return Poly._raw(out)
 
 
@@ -342,13 +378,20 @@ def _content_in(p: Poly, v: int) -> Poly:
     return g
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Gcd over the integer polynomial ring, primitive-PRS style.
+# Evaluation points GCDHEU tries before poly_gcd falls back to the PRS.
+GCDHEU_POINTS = 6
 
-    Treats both inputs as univariate in the lowest-indexed variable of
-    either, with polynomial coefficients, and recurses on contents.  The
-    result has a positive graded-lex leading coefficient; gcd(p, 0) =
-    +/-p normalized, gcd(0, 0) = 0.
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Gcd over the integer polynomial ring, exact and unique up to sign.
+
+    Cheap exits come first: a zero or constant input, variable-disjoint
+    inputs, and an input that is one monomial.  Then the heuristic gcd
+    (``_gcdheu``) tries up to ``GCDHEU_POINTS`` evaluation points and
+    returns a candidate only once ``divexact`` has divided both inputs by
+    it.  If every point fails, a primitive pseudo-remainder sequence
+    (``_prs_gcd``) computes the gcd.  The result has a positive graded-lex
+    leading coefficient; gcd(p, 0) = +/-p normalized, gcd(0, 0) = 0.
     """
     if p.is_zero():
         return normalize_sign(q)
@@ -363,15 +406,120 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         # a divisor of p only involves variables of p, so the gcd of
         # variable-disjoint polynomials is an integer
         return Poly.const(math.gcd(p.icontent(), q.icontent()))
-    if len(p.terms) == 1 and len(q.terms) == 1:
-        (mp, cp_), (mq, cq_) = next(iter(p.terms.items())), next(iter(q.terms.items()))
-        ep, eq = dict(mp), dict(mq)
-        shared = tuple(
-            sorted((v, min(ep[v], eq[v])) for v in set(ep) & set(eq))
-        )
-        return Poly._raw({shared: math.gcd(cp_, cq_)})
+    if len(q.terms) == 1:
+        p, q = q, p
+    if len(p.terms) == 1:
+        # gcd(c*m, q) = gcd(c, content of q) times, for every variable of m,
+        # the least exponent it has in m and in every term of q
+        ((m, c),) = p.terms.items()
+        exps = dict(m)
+        for mq in q.terms:
+            have = dict(mq)
+            exps = {v: min(e, have[v]) for v, e in exps.items() if v in have}
+            if not exps:
+                break
+        return Poly._raw({tuple(exps.items()): math.gcd(c, q.icontent())})
 
-    v = min(vars_p | vars_q)
+    cp = p.icontent()
+    cq = q.icontent()
+    c = Poly.const(math.gcd(cp, cq))
+    p = divexact(p, Poly.const(cp))
+    q = divexact(q, Poly.const(cq))
+    g = _gcdheu(p, q, max(vars_p | vars_q))
+    if g is None:
+        g = _prs_gcd(p, q)
+    return normalize_sign(c * g)
+
+
+def _gcdheu(p: Poly, q: Poly, v: int) -> Poly | None:
+    """Heuristic gcd of primitive p and q, or None after GCDHEU_POINTS failures.
+
+    x_v, the highest-index variable of either input, is set to an integer
+    xi; ``poly_gcd`` of the two images (one variable fewer, so the recursion
+    ends) is read back digit by digit in symmetric base xi, and its
+    primitive part is the candidate.  Char, Geddes & Gonnet, "GCDHEU:
+    Heuristic polynomial GCD algorithm based on integer GCD computation",
+    J. Symbolic Computation 7 (1989).
+    """
+    # Why a candidate h that divides p and q is their gcd G: G = h*k, and
+    # k(xi, ...) is a nonzero integer dividing the integer content of the
+    # interpolant, whose digits are at most xi/2.  The Kronecker
+    # substitution x_u -> x_v^(N^(v-u)) (N large) maps k, p and q to
+    # univariate K, P and Q with K dividing P and Q, K(xi) = k(xi, ...),
+    # and leading coefficients taken in pure lex with x1 > x2 > ...  By
+    # Cauchy's bound every root of K, a root of P, has size below
+    # 1 + max|coefficient of p| / |lex-leading coefficient of p|, and
+    # likewise for q.  Every xi tried exceeds twice the smaller bound, so
+    # |K(xi)| > xi/2 unless K is constant; then k is an integer, and +/-1
+    # since G is primitive.
+    p_norm = max(abs(c) for c in p.terms.values())
+    q_norm = max(abs(c) for c in q.terms.values())
+    p_lc = abs(p.terms[max(p.terms, key=_lex_key)])
+    q_lc = abs(q.terms[max(q.terms, key=_lex_key)])
+    b = 2 * min(p_norm, q_norm) + 29
+    xi = max(min(b, 99 * math.isqrt(b)), 2 * min(p_norm // p_lc, q_norm // q_lc) + 4)
+    for _ in range(GCDHEU_POINTS):
+        image = poly_gcd(_evaluate(p, v, xi), _evaluate(q, v, xi))
+        h = _interpolate(image, v, xi)
+        h = divexact(h, Poly.const(h.icontent()))
+        try:
+            divexact(p, h)
+            divexact(q, h)
+            return h
+        except ArithmeticError:
+            xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(p: Poly, v: int, xi: int) -> Poly:
+    """p with x_v set to xi, where no variable of p has an index above v."""
+    out: dict[Monomial, int] = {}
+    powers: dict[int, int] = {}
+    for m, c in p.terms.items():
+        if m and m[-1][0] == v:
+            e = m[-1][1]
+            if e not in powers:
+                powers[e] = xi**e
+            m = m[:-1]
+            c *= powers[e]
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return Poly._raw(out)
+
+
+def _interpolate(image: Poly, v: int, xi: int) -> Poly:
+    """Spread each coefficient over powers of x_v by its symmetric base-xi digits.
+
+    Every digit lies in (-xi/2, xi/2]; ``image`` has no variable of index v
+    or above, so appending x_v keeps monomials sorted.
+    """
+    half = xi // 2
+    out: dict[Monomial, int] = {}
+    for m, c in image.terms.items():
+        e = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                out[m + ((v, e),) if e else m] = digit
+            e += 1
+    return Poly._raw(out)
+
+
+def _prs_gcd(p: Poly, q: Poly) -> Poly:
+    """Gcd up to sign by a primitive pseudo-remainder sequence.
+
+    Treats both inputs as univariate in the lowest-indexed variable of
+    either, with polynomial coefficients, and recurses on contents.  Its
+    coefficients can grow to thousands of bits, so ``poly_gcd`` calls it
+    only when the heuristic has failed at every point.
+    """
+    v = min(p.variables() | q.variables())
     cp = _content_in(p, v)
     cq = _content_in(q, v)
     c = poly_gcd(cp, cq)
@@ -391,4 +539,4 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             break
         a, b = b, divexact(r, _content_in(r, v))
 
-    return normalize_sign(c * g)
+    return c * g

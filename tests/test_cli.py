@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import random
+import signal
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from exprcount import SequenceRow, SequenceTable, cli, compute_table
+from exprcount import SequenceRow, SequenceTable, cli, compute_table, parse
 from exprcount.cli import main, table_to_csv, table_to_json
 
 COLUMNS = ("S", "Q", "R", "P", "A")
@@ -233,6 +236,45 @@ def test_canon_output(capsys):
     assert out.strip() == "(x2*x3 + x1)/(x2)"
     code, out, _ = run(capsys, "canon", "(a*b)/c ")
     assert (code, out) == (0, "(x1*x2)/(x3)\n")
+
+
+# A random 6-variable input on which the primitive-PRS gcd built remainder
+# sequences with coefficients above 8,000 bits and ran for minutes.
+GCD_BLOW_UP = (
+    "(x1 - x5) * (x2 - (x4 / x3 / x1 + ((x6 - x2) * ((x1 - (-x1)) * x2)"
+    " + (-(x4 + (-x4)))))) / (((-x6) + (-x1) - (x2 * ((-x4) - (-x1) - x1)"
+    " / x5 - x6 * (-x1))) / (x3 / (-(x1 + (-x2)))) * x4)"
+)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget()
+
+
+def test_canon_finishes_on_gcd_blow_up_input(capsys):
+    old = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, out, _ = run(capsys, "canon", "--", GCD_BLOW_UP)
+    except _OverBudget:
+        pytest.fail("canon ran past its 5 s budget")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0
+    # canon numbers names by first appearance; read its output back with
+    # exact fractions at seeded points and compare with the input's value
+    _, names = parse(GCD_BLOW_UP)
+    rnd = random.Random(8)
+    for _ in range(5):
+        point = {f"x{i}": Fraction(rnd.randint(1, 2**40)) for i in range(1, 7)}
+        canon_point = {f"x{i}": point[names.name_of(i)] for i in range(1, 7)}
+        expected = eval(GCD_BLOW_UP, {"__builtins__": {}}, point)
+        assert eval(out.replace("^", "**"), {"__builtins__": {}}, canon_point) == expected
 
 
 def test_syntax_error_exits_2(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from exprcount import Poly, divexact, normalize_sign, poly_gcd, poly_str
+from exprcount import Poly, divexact, normalize_sign, poly_gcd, poly_str, polys
 from genlib import random_poly
 
 x1 = Poly.variable(1)
@@ -62,6 +62,11 @@ def test_gcd_difference_of_squares():
 
 def test_gcd_common_variable_factor():
     assert poly_gcd(x1 * x2, x1 * x3) == x1
+    assert poly_gcd(x1 * x3, x1 * x1 * x3 * x3) == x1 * x3
+    # one monomial against a polynomial: least exponents and integer content
+    two, six = Poly.const(2), Poly.const(6)
+    assert poly_gcd(six * x1 * x1 * x2, two * x1 * x2 * x3 + six * x1 * x1) == two * x1
+    assert poly_gcd(x1 * x2 + x3, x1 * x2) == Poly.one()
 
 
 def test_gcd_with_zero_normalizes():
@@ -78,6 +83,10 @@ def test_gcd_integer_content():
 def test_divexact_errors_on_inexact():
     with pytest.raises(ArithmeticError):
         divexact(x1 + Poly.const(1), x2)
+    # a remainder left after the leading terms divided
+    b = x1 * x2 + x3 * x3 - Poly.const(2)
+    with pytest.raises(ArithmeticError):
+        divexact(b * b * x1 + x3, b)
     with pytest.raises(ZeroDivisionError):
         divexact(x1, Poly.zero())
 
@@ -114,6 +123,25 @@ def test_gcd_recovers_planted_factor():
         assert poly_gcd(g, common) == normalize_sign(common)
         assert divexact(common * a, g) * g == common * a
         assert divexact(common * b, g) * g == common * b
+
+
+def test_heuristic_and_prs_agree_on_planted_factors(monkeypatch):
+    rnd = random.Random(17)
+    pairs = []
+    for _ in range(300):
+        common = random_poly(rnd, [1, 2, 3], nonzero=True)
+        a = random_poly(rnd, [1, 2, 3], nonzero=True)
+        b = random_poly(rnd, [1, 2, 3], nonzero=True)
+        pairs.append((common * a, common * b))
+
+    def no_prs(p, q):
+        raise AssertionError("heuristic gcd failed at every point")
+
+    with monkeypatch.context() as m:
+        m.setattr(polys, "_prs_gcd", no_prs)
+        heuristic = [poly_gcd(a, b) for a, b in pairs]
+    monkeypatch.setattr(polys, "GCDHEU_POINTS", 0)
+    assert [poly_gcd(a, b) for a, b in pairs] == heuristic
 
 
 def test_hash_consistent_with_eq():

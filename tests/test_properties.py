@@ -1,4 +1,4 @@
-"""Property tests over generated expression trees on x1..x4 (hypothesis)."""
+"""Property tests over generated expression trees on x1..x6 (hypothesis)."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,16 +23,13 @@ from exprcount import (  # noqa: E402
 )
 from exprcount.cli import main  # noqa: E402
 
-# Trees stay small: gcds of fractions with repeated variables can grow
-# without bound, and a handful of leaves already covers every operator
-# next to every other one.
 trees = st.recursive(
-    st.builds(Leaf, st.integers(1, 4)),
+    st.builds(Leaf, st.integers(1, 6)),
     lambda kids: st.one_of(
         st.builds(Neg, kids),
         *(st.builds(op, kids, kids) for op in (Add, Sub, Mul, Div)),
     ),
-    max_leaves=5,
+    max_leaves=10,
 )
 
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -63,7 +60,7 @@ def _has_sub(tree):
 @fixed
 @given(trees)
 def test_parse_inverts_render(tree):
-    identity = NameMap({f"x{i}": i for i in range(1, 5)})
+    identity = NameMap({f"x{i}": i for i in range(1, 7)})
     assert parse(render(tree), identity)[0] == tree
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from exprcount import Add, Div, Leaf, Mul, Neg, Sub, canonicalize, evaluate, poly_gcd
+from exprcount import Add, Div, Leaf, Mul, Neg, Sub, canonicalize, evaluate, poly_gcd, polys
 from genlib import random_poly, random_tree
 
 sympy = pytest.importorskip("sympy")
@@ -51,11 +51,21 @@ def _pairs(seed, count):
         yield a, b
 
 
-def test_gcd_matches_sympy_up_to_sign():
+def _check_gcds_against_sympy():
     for a, b in _pairs(101, 300):
         ours = to_sympy(poly_gcd(a, b))
         theirs = sympy.gcd(to_sympy(a), to_sympy(b))
         assert ours in (theirs, -theirs)
+
+
+def test_gcd_matches_sympy_up_to_sign():
+    _check_gcds_against_sympy()
+
+
+def test_prs_fallback_matches_sympy_up_to_sign(monkeypatch):
+    # no evaluation points: every gcd past the cheap exits takes the PRS
+    monkeypatch.setattr(polys, "GCDHEU_POINTS", 0)
+    _check_gcds_against_sympy()
 
 
 def test_canonicalize_matches_sympy_cancel():
