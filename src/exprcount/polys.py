@@ -13,9 +13,9 @@ comparing exponents of the lowest-indexed variable first.
 
 ``poly_gcd`` is exact: after cheap exits for trivial and monomial inputs it
 tries the heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
-interpolate), accepts a candidate only when it divides both inputs, and
-falls back to a primitive pseudo-remainder sequence when every evaluation
-point fails.  ``divexact`` keeps its remainder's terms in a heap, so each
+interpolate the gcd or a cofactor), accepts a candidate only when it
+divides both inputs, and falls back to a primitive pseudo-remainder
+sequence when every evaluation point fails.  ``divexact`` keeps its remainder's terms in a heap, so each
 step finds the leading term in logarithmic time.
 """
 
@@ -386,10 +386,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd over the integer polynomial ring, exact and unique up to sign.
 
     Cheap exits come first: a zero or constant input, variable-disjoint
-    inputs, and an input that is one monomial.  Then the heuristic gcd
-    (``_gcdheu``) tries up to ``GCDHEU_POINTS`` evaluation points and
-    returns a candidate only once ``divexact`` has divided both inputs by
-    it.  If every point fails, a primitive pseudo-remainder sequence
+    inputs, and an input that is one monomial.  Otherwise the integer and
+    monomial contents are taken out, and the heuristic gcd (``_gcdheu``)
+    tries up to ``GCDHEU_POINTS`` evaluation points on what is left,
+    returning a candidate only once ``divexact`` has divided both by it.
+    If every point fails, a primitive pseudo-remainder sequence
     (``_prs_gcd``) computes the gcd.  The result has a positive graded-lex
     leading coefficient; gcd(p, 0) = +/-p normalized, gcd(0, 0) = 0.
     """
@@ -406,52 +407,61 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         # a divisor of p only involves variables of p, so the gcd of
         # variable-disjoint polynomials is an integer
         return Poly.const(math.gcd(p.icontent(), q.icontent()))
-    if len(q.terms) == 1:
-        p, q = q, p
-    if len(p.terms) == 1:
-        # gcd(c*m, q) = gcd(c, content of q) times, for every variable of m,
-        # the least exponent it has in m and in every term of q
-        ((m, c),) = p.terms.items()
-        exps = dict(m)
-        for mq in q.terms:
-            have = dict(mq)
-            exps = {v: min(e, have[v]) for v, e in exps.items() if v in have}
-            if not exps:
-                break
-        return Poly._raw({tuple(exps.items()): math.gcd(c, q.icontent())})
-
-    cp = p.icontent()
-    cq = q.icontent()
-    c = Poly.const(math.gcd(cp, cq))
-    p = divexact(p, Poly.const(cp))
-    q = divexact(q, Poly.const(cq))
-    g = _gcdheu(p, q, max(vars_p | vars_q))
+    # gcd(p, q) = gcd of the integer contents * gcd of the monomial contents
+    # * gcd of what is left, which no integer > 1 and no variable divides
+    cp, cq = p.icontent(), q.icontent()
+    mp, mq = _monomial_content(p), _monomial_content(q)
+    exps = dict(mp)
+    mono = tuple((v, min(e, exps[v])) for v, e in mq if v in exps)
+    c = Poly._raw({mono: math.gcd(cp, cq)})
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        return c
+    p = divexact(p, Poly._raw({mp: cp}))
+    q = divexact(q, Poly._raw({mq: cq}))
+    g = _gcdheu(p, q, max(p.variables() | q.variables()))
     if g is None:
         g = _prs_gcd(p, q)
     return normalize_sign(c * g)
+
+
+def _monomial_content(p: Poly) -> Monomial:
+    """The monomial that divides every term of p with the largest exponents."""
+    terms = iter(p.terms)
+    exps = dict(next(terms))
+    for m in terms:
+        if not exps:
+            break
+        have = dict(m)
+        exps = {v: min(e, have[v]) for v, e in exps.items() if v in have}
+    return tuple(exps.items())
 
 
 def _gcdheu(p: Poly, q: Poly, v: int) -> Poly | None:
     """Heuristic gcd of primitive p and q, or None after GCDHEU_POINTS failures.
 
     x_v, the highest-index variable of either input, is set to an integer
-    xi; ``poly_gcd`` of the two images (one variable fewer, so the recursion
-    ends) is read back digit by digit in symmetric base xi, and its
-    primitive part is the candidate.  Char, Geddes & Gonnet, "GCDHEU:
-    Heuristic polynomial GCD algorithm based on integer GCD computation",
-    J. Symbolic Computation 7 (1989).
+    xi, and ``poly_gcd`` takes the gcd of the two images (one variable
+    fewer, so the recursion ends).  The image gcd read back digit by digit
+    in symmetric base xi, made primitive, is the first candidate.  A gcd
+    whose coefficients exceed xi/2 cannot be read back that way, but a
+    small cofactor can: p divided by the cofactor read back from p's image
+    divided by the image gcd is the second candidate, and likewise for q
+    the third.  A candidate is returned once it divides both inputs.
+    Char, Geddes & Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
+    based on integer GCD computation", J. Symbolic Computation 7 (1989).
     """
     # Why a candidate h that divides p and q is their gcd G: G = h*k, and
-    # k(xi, ...) is a nonzero integer dividing the integer content of the
-    # interpolant, whose digits are at most xi/2.  The Kronecker
-    # substitution x_u -> x_v^(N^(v-u)) (N large) maps k, p and q to
-    # univariate K, P and Q with K dividing P and Q, K(xi) = k(xi, ...),
-    # and leading coefficients taken in pure lex with x1 > x2 > ...  By
-    # Cauchy's bound every root of K, a root of P, has size below
-    # 1 + max|coefficient of p| / |lex-leading coefficient of p|, and
-    # likewise for q.  Every xi tried exceeds twice the smaller bound, so
-    # |K(xi)| > xi/2 unless K is constant; then k is an integer, and +/-1
-    # since G is primitive.
+    # k(xi, ...) is a nonzero integer of size at most xi/2: for the first
+    # candidate it divides the interpolant's integer content, whose digits
+    # are at most xi/2, and for a cofactor candidate it is +/-1.  The
+    # Kronecker substitution x_u -> x_v^(N^(v-u)) (N large) maps k, p and
+    # q to univariate K, P and Q with K dividing P and Q, K(xi) =
+    # k(xi, ...), and leading coefficients taken in pure lex with
+    # x1 > x2 > ...  By Cauchy's bound every root of K, a root of P, has
+    # size below 1 + max|coefficient of p| / |lex-leading coefficient of p|,
+    # and likewise for q.  Every xi tried exceeds twice the smaller bound,
+    # so |K(xi)| > xi/2 unless K is constant; then k is an integer, and
+    # +/-1 since G is primitive.
     p_norm = max(abs(c) for c in p.terms.values())
     q_norm = max(abs(c) for c in q.terms.values())
     p_lc = abs(p.terms[max(p.terms, key=_lex_key)])
@@ -459,16 +469,27 @@ def _gcdheu(p: Poly, q: Poly, v: int) -> Poly | None:
     b = 2 * min(p_norm, q_norm) + 29
     xi = max(min(b, 99 * math.isqrt(b)), 2 * min(p_norm // p_lc, q_norm // q_lc) + 4)
     for _ in range(GCDHEU_POINTS):
-        image = poly_gcd(_evaluate(p, v, xi), _evaluate(q, v, xi))
+        p_image = _evaluate(p, v, xi)
+        q_image = _evaluate(q, v, xi)
+        image = poly_gcd(p_image, q_image)
         h = _interpolate(image, v, xi)
         h = divexact(h, Poly.const(h.icontent()))
-        try:
-            divexact(p, h)
-            divexact(q, h)
+        if _quotient(p, h) is not None and _quotient(q, h) is not None:
             return h
-        except ArithmeticError:
-            xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+        for f, f_image, other in ((p, p_image, q), (q, q_image, p)):
+            h = _quotient(f, _interpolate(divexact(f_image, image), v, xi))
+            if h is not None and _quotient(other, h) is not None:
+                return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _quotient(p: Poly, d: Poly) -> Poly | None:
+    """p/d when d divides p, else None."""
+    try:
+        return divexact(p, d)
+    except ArithmeticError:
+        return None
 
 
 def _evaluate(p: Poly, v: int, xi: int) -> Poly:

@@ -125,6 +125,10 @@ def test_gcd_recovers_planted_factor():
         assert divexact(common * b, g) * g == common * b
 
 
+def _no_prs(p, q):
+    raise AssertionError("heuristic gcd failed at every point")
+
+
 def test_heuristic_and_prs_agree_on_planted_factors(monkeypatch):
     rnd = random.Random(17)
     pairs = []
@@ -133,15 +137,27 @@ def test_heuristic_and_prs_agree_on_planted_factors(monkeypatch):
         a = random_poly(rnd, [1, 2, 3], nonzero=True)
         b = random_poly(rnd, [1, 2, 3], nonzero=True)
         pairs.append((common * a, common * b))
-
-    def no_prs(p, q):
-        raise AssertionError("heuristic gcd failed at every point")
-
     with monkeypatch.context() as m:
-        m.setattr(polys, "_prs_gcd", no_prs)
+        m.setattr(polys, "_prs_gcd", _no_prs)
         heuristic = [poly_gcd(a, b) for a, b in pairs]
     monkeypatch.setattr(polys, "GCDHEU_POINTS", 0)
     assert [poly_gcd(a, b) for a, b in pairs] == heuristic
+
+
+def test_heuristic_needs_one_point_when_a_cofactor_is_a_monomial(monkeypatch):
+    # The gcd's coefficients exceed the first xi/2, so its image cannot be
+    # read back; the cofactor candidate reads back 1 at every level instead,
+    # once the monomial contents are taken out.
+    monkeypatch.setattr(polys, "GCDHEU_POINTS", 1)
+    monkeypatch.setattr(polys, "_prs_gcd", _no_prs)
+    rnd = random.Random(19)
+    for _ in range(20):
+        g = random_poly(rnd, [1, 2, 3, 4, 5], max_terms=4, max_exp=3, max_coeff=10**6, nonzero=True)
+        g = g * g
+        a = random_poly(rnd, [1, 2, 3, 4, 5], nonzero=True)
+        expected = normalize_sign(g)
+        assert poly_gcd(g * a, g) == expected
+        assert poly_gcd(g * x1 * x1 * x3, g * x2 * Poly.variable(5)) == expected
 
 
 def test_hash_consistent_with_eq():
