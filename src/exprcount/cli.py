@@ -18,6 +18,7 @@ its wall-clock timings to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from itertools import chain
@@ -187,6 +188,9 @@ def _count_arg(text: str) -> int:
     return value
 
 
+# Building the parser costs about a millisecond, as much as a whole equiv
+# call; one parser per process serves every main() call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exprcount",

@@ -14,6 +14,8 @@ Infix grammar (EBNF)::
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | '(' expr ')' | identifier
 
+One table, ``_BINARY``, gives each binary operator its symbol, precedence
+and fraction operation; the parser, ``render`` and ``evaluate`` all read it.
 Unary minus binds tighter than the binary operators and may nest.  Input
 nested deeper than ``MAX_DEPTH`` levels is a syntax error.  Identifiers
 match ``[A-Za-z_][A-Za-z0-9_]*``; each distinct name is assigned the next
@@ -22,6 +24,7 @@ unused variable index in first-occurrence order.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -64,15 +67,24 @@ class Div:
 
 ExprTree = Leaf | Neg | Add | Sub | Mul | Div
 
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# node class -> (symbol, precedence, Frac operation); higher binds tighter
+_BINARY = {
+    Add: ("+", 1, operator.add),
+    Sub: ("-", 1, operator.sub),
+    Mul: ("*", 2, operator.mul),
+    Div: ("/", 2, operator.truediv),
+}
+_BY_SYMBOL = {symbol: (cls, prec) for cls, (symbol, prec, _) in _BINARY.items()}
+_LOOSEST = min(prec for _, prec, _ in _BINARY.values())
+_TIGHTEST = max(prec for _, prec, _ in _BINARY.values())
 
 
 # Deepest input the parser accepts: at most this many nested parentheses and
 # unary minuses around any point, and a tree at most this many operators
-# high.  The parser recurses three times per parenthesis; evaluate, render
-# and eliminate_subtraction once per tree level.  So both stay far below
-# Python's default recursion limit of 1000, with room left for the caller's
-# frames and for the polynomial gcd underneath evaluate.
+# high.  The parser recurses at most three times per parenthesis; evaluate,
+# render and eliminate_subtraction once per tree level.  So both stay far
+# below Python's default recursion limit of 1000, with room left for the
+# caller's frames and for the polynomial gcd underneath evaluate.
 MAX_DEPTH = 200
 
 
@@ -111,105 +123,80 @@ class NameMap:
         return self._by_index.get(index, f"x{index}")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/()]))")
+# One match per token, an identifier or an operator character; group 2
+# catches any other visible character.  Whitespace only separates tokens.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[-+*/()])|(\S))")
 
 
 class _Parser:
     def __init__(self, text: str, names: NameMap):
-        self.text = text
         self.names = names
-        self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
+        self.tokens: list[tuple[str, int]] = []  # (text, 0-based position)
+        for m in _TOKEN_RE.finditer(text):
+            if m[2] is not None:
+                raise ExprSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+            self.tokens.append((m[1], m.start(1)))
+        self.tokens.append(("", len(text)))  # text "" ends the input
         self.i = 0
 
-    def _tokenize(self) -> None:
-        pos = 0
-        text = self.text
-        end = len(text.rstrip())  # trailing whitespace alone matches no token
-        while pos < end:
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                at = len(text) - len(stripped)
-                raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
-            if m.group("ident") is not None:
-                self.tokens.append(("ident", m.group("ident"), m.start("ident")))
-            elif m.group("op") is not None:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def parse(self) -> ExprTree:
-        if not self.tokens:
+        if len(self.tokens) == 1:
             raise ExprSyntaxError("empty input", 0)
-        tree, _ = self.expr(0)
-        tok = self._peek()
-        if tok is not None:
-            raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        tree, _ = self.binary(_LOOSEST, 0)
+        text, pos = self.tokens[self.i]
+        if text:
+            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
         return tree
 
-    # expr, term and factor take the nesting depth of the current position
-    # and return the subtree with its height.
+    # binary and factor take the nesting depth of the current position and
+    # return the subtree with its height.
 
-    def expr(self, depth: int) -> tuple[ExprTree, int]:
-        node, height = self.term(depth)
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return node, height
-            self._advance()
-            rhs, rhs_height = self.term(depth)
-            node = Add(node, rhs) if tok[1] == "+" else Sub(node, rhs)
-            height = _deeper(max(height, rhs_height), tok)
+    def binary(self, prec: int, depth: int) -> tuple[ExprTree, int]:
+        """Left-associative chain of operators of precedence ``prec`` or more.
 
-    def term(self, depth: int) -> tuple[ExprTree, int]:
+        A right operand takes only operators binding tighter than its own
+        (precedence climbing), so a parenthesis costs at most three frames.
+        """
         node, height = self.factor(depth)
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "*/":
+            text, pos = self.tokens[self.i]
+            cls, op_prec = _BY_SYMBOL.get(text, (None, 0))  # 0: not an operator
+            if op_prec < prec:
                 return node, height
-            self._advance()
-            rhs, rhs_height = self.factor(depth)
-            node = Mul(node, rhs) if tok[1] == "*" else Div(node, rhs)
-            height = _deeper(max(height, rhs_height), tok)
+            self.i += 1
+            if op_prec == _TIGHTEST:
+                rhs, rhs_height = self.factor(depth)
+            else:
+                rhs, rhs_height = self.binary(op_prec + 1, depth)
+            node = cls(node, rhs)
+            height = _deeper(max(height, rhs_height), pos)
 
     def factor(self, depth: int) -> tuple[ExprTree, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.text))
-        if tok[0] == "ident":
-            self._advance()
-            return Leaf(self.names.index_for(tok[1])), 0
-        if tok[1] == "-":
-            self._advance()
-            child, height = self.factor(_deeper(depth, tok))
-            return Neg(child), _deeper(height, tok)
-        if tok[1] == "(":
-            self._advance()
-            node, height = self.expr(_deeper(depth, tok))
-            closing = self._peek()
-            if closing is None:
-                raise ExprSyntaxError("missing ')'", len(self.text))
-            if closing[1] != ")":
-                raise ExprSyntaxError(f"expected ')', got {closing[1]!r}", closing[2])
-            self._advance()
+        text, pos = self.tokens[self.i]
+        self.i += 1
+        if text.isidentifier():
+            return Leaf(self.names.index_for(text)), 0
+        if text == "-":
+            child, height = self.factor(_deeper(depth, pos))
+            return Neg(child), _deeper(height, pos)
+        if text == "(":
+            node, height = self.binary(_LOOSEST, _deeper(depth, pos))
+            closing, at = self.tokens[self.i]
+            if closing != ")":
+                raise ExprSyntaxError(
+                    f"expected ')', got {closing!r}" if closing else "missing ')'", at
+                )
+            self.i += 1
             return node, height
-        raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        if not text:
+            raise ExprSyntaxError("unexpected end of input", pos)
+        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 
-def _deeper(level: int, tok: tuple[str, str, int]) -> int:
-    """One level below ``level``; raises past MAX_DEPTH, blaming ``tok``."""
+def _deeper(level: int, pos: int) -> int:
+    """One level below ``level``; raises past MAX_DEPTH, blaming position ``pos``."""
     if level >= MAX_DEPTH:
-        raise ExprSyntaxError(
-            f"expression nested deeper than {MAX_DEPTH} levels", tok[2]
-        )
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
     return level + 1
 
 
@@ -221,11 +208,7 @@ def parse(text: str, names: NameMap | None = None) -> tuple[ExprTree, NameMap]:
 
 
 def _prec(node: ExprTree) -> int:
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, (Mul, Div)):
-        return 2
-    return 3
+    return _BINARY[type(node)][1] if type(node) in _BINARY else _TIGHTEST + 1
 
 
 def render(tree: ExprTree, names: NameMap | None = None) -> str:
@@ -235,23 +218,21 @@ def render(tree: ExprTree, names: NameMap | None = None) -> str:
     the text nests no deeper than the tree is high and stays within
     ``MAX_DEPTH`` for every tree that ``parse`` returns.
     """
-
-    def name(i: int) -> str:
-        return names.name_of(i) if names is not None else f"x{i}"
+    names = names if names is not None else NameMap()
 
     def go(node: ExprTree) -> str:
         if isinstance(node, Leaf):
-            return name(node.index)
+            return names.name_of(node.index)
         if isinstance(node, Neg):
             inner = go(node.child)
             return f"-{inner}" if isinstance(node.child, (Leaf, Neg)) else f"-({inner})"
-        op = _BINARY[type(node)]
+        symbol, prec, _ = _BINARY[type(node)]
         left, right = go(node.left), go(node.right)
-        if _prec(node.left) < _prec(node):
+        if _prec(node.left) < prec:
             left = f"({left})"
-        if _prec(node.right) <= _prec(node):
+        if _prec(node.right) <= prec:
             right = f"({right})"
-        return f"{left} {op} {right}"
+        return f"{left} {symbol} {right}"
 
     return go(tree)
 
@@ -285,12 +266,5 @@ def evaluate(tree: ExprTree) -> Frac:
         return Frac.variable(tree.index)
     if isinstance(tree, Neg):
         return -evaluate(tree.child)
-    left = evaluate(tree.left)
-    right = evaluate(tree.right)
-    if isinstance(tree, Add):
-        return left + right
-    if isinstance(tree, Sub):
-        return left - right
-    if isinstance(tree, Mul):
-        return left * right
-    return left / right
+    _, _, apply = _BINARY[type(tree)]
+    return apply(evaluate(tree.left), evaluate(tree.right))

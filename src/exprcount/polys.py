@@ -141,14 +141,6 @@ class Poly:
                 out.add(v)
         return frozenset(out)
 
-    def degree_in(self, v: int) -> int:
-        deg = 0
-        for m in self.terms:
-            for var, e in m:
-                if var == v and e > deg:
-                    deg = e
-        return deg
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -323,25 +315,14 @@ def divexact(p: Poly, d: Poly) -> Poly:
 
 
 def _coeffs_in(p: Poly, v: int) -> dict[int, dict[Monomial, int]]:
-    """View p as univariate in x_v: degree -> coefficient polynomial terms."""
+    """View p as univariate in x_v, its highest-index variable: degree -> terms."""
     out: dict[int, dict[Monomial, int]] = {}
     for m, c in p.terms.items():
-        deg = 0
-        rest = m
-        for i, (var, e) in enumerate(m):
-            if var == v:
-                deg = e
-                rest = m[:i] + m[i + 1 :]
-                break
-        out.setdefault(deg, {})[rest] = c
+        if m and m[-1][0] == v:
+            out.setdefault(m[-1][1], {})[m[:-1]] = c
+        else:
+            out.setdefault(0, {})[m] = c
     return out
-
-
-def _mul_by_power(p: Poly, v: int, e: int) -> Poly:
-    if e == 0:
-        return p
-    shift: Monomial = ((v, e),)
-    return Poly._raw({monomial_mul(m, shift): c for m, c in p.terms.items()})
 
 
 def _prem(a: Poly, b: Poly, v: int) -> Poly:
@@ -360,8 +341,10 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
         dr = max(coeffs)
         if dr < db:
             break
-        lead_r = Poly._raw(coeffs[dr])
-        r = lead_b * r - _mul_by_power(lead_r, v, dr - db) * b
+        # lc(r) * x_v^(dr - db): x_v sorts after every variable of lc(r)
+        shift = ((v, dr - db),) if dr > db else ()
+        lead_r = Poly._raw({m + shift: c for m, c in coeffs[dr].items()})
+        r = lead_b * r - lead_r * b
         ic = r.icontent()
         if ic > 1:
             r = Poly._raw({m: c // ic for m, c in r.terms.items()})
@@ -535,22 +518,23 @@ def _interpolate(image: Poly, v: int, xi: int) -> Poly:
 def _prs_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd up to sign by a primitive pseudo-remainder sequence.
 
-    Treats both inputs as univariate in the lowest-indexed variable of
-    either, with polynomial coefficients, and recurses on contents.  Its
-    coefficients can grow to thousands of bits, so ``poly_gcd`` calls it
-    only when the heuristic has failed at every point.
+    Treats both inputs as univariate in the highest-index variable of
+    either, the one ``_gcdheu`` evaluates, with polynomial coefficients,
+    and recurses on contents.  Its coefficients can grow to thousands of
+    bits, so ``poly_gcd`` calls it only when the heuristic has failed at
+    every point.
     """
-    v = min(p.variables() | q.variables())
+    v = max(p.variables() | q.variables())
     cp = _content_in(p, v)
     cq = _content_in(q, v)
     c = poly_gcd(cp, cq)
     a = divexact(p, cp)
     b = divexact(q, cq)
-    if a.degree_in(v) < b.degree_in(v):
+    if max(_coeffs_in(a, v)) < max(_coeffs_in(b, v)):
         a, b = b, a
 
     while True:
-        if b.degree_in(v) == 0:
+        if max(_coeffs_in(b, v)) == 0:
             # b is primitive in x_v with degree zero, hence a unit.
             g = Poly.one()
             break

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from exprcount import SequenceRow, SequenceTable, cli, compute_table, parse
+from exprcount import ClassSet, SequenceRow, SequenceTable, cli, compute_table, parse
 from exprcount.cli import main, table_to_csv, table_to_json
 
 COLUMNS = ("S", "Q", "R", "P", "A")
@@ -292,6 +292,7 @@ def test_syntax_error_exits_2(capsys):
     "argv",
     [
         ("count", "--n", "-1"),
+        ("count", "--n", "abc"),
         ("verify", "--max-k", "0"),
         ("verify", "--max-k", "2", "--processes", "0"),
         ("verify", "--max-k", "2", "--processes", "-2"),
@@ -346,6 +347,18 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
         main(["canon", "a"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("canon", "a/(b-b)"), ("equiv", "a/(a-a)", "a")],
+    ids=["canon", "equiv"],
+)
+def test_zero_divisor_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_usage_error_exits_2(capsys):
     assert run(capsys, "count")[0] == 2          # missing --n
     assert run(capsys, "nonsense")[0] == 2
@@ -363,6 +376,25 @@ def test_verify_small(capsys):
     assert run(capsys, "verify", "--max-k", "2", "--processes", "2")[:2] == (0, out)
 
 
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    enumerate_tree_classes = cli.enumerate_tree_classes
+
+    def one_class_short_at_k2(k, cutoff=None):
+        found = enumerate_tree_classes(k, cutoff=cutoff)
+        if k != 2:
+            return found
+        return ClassSet(k, frozenset(list(found.classes)[1:]))
+
+    monkeypatch.setattr(cli, "enumerate_tree_classes", one_class_short_at_k2)
+    code, out, _ = run(capsys, "verify", "--max-k", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "k=1: oracle=2 engine=2 PASS",
+        "k=2: oracle=9 engine=10 FAIL",
+        "1 of 2 checks failed",
+    ]
+
+
 def test_verify_refuses_large_without_flag(capsys):
     code, _, err = run(capsys, "verify", "--max-k", "5")
     assert code == 2
@@ -376,3 +408,18 @@ def test_bench_reports_counts_deterministically(capsys):
     assert "run 1:" in err and "run 2:" in err
     code2, out2, _ = run(capsys, "bench", "--n", "32")
     assert out2 == out  # operation counts carry no timing noise
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    commands = [
+        ("count", "--n", "3", "--all-sequences"),
+        ("count", "--n", "3"),
+        ("verify", "--max-k", "2"),
+    ]
+    in_turn = [run(capsys, *argv) for argv in commands]
+    alone = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert in_turn == alone

@@ -63,6 +63,15 @@ def test_parse_errors_carry_position():
         parse("   ")
     assert str(exc.value).startswith("empty input")
     assert parse(" a\t\n")[0] == Leaf(1)
+    for text, message, position in [
+        ("(a b", "expected ')', got 'b'", 3),
+        ("a + * b", "unexpected token '*'", 4),
+        (")", "unexpected token ')'", 0),
+    ]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
 
 def test_name_map_first_occurrence_order():
