@@ -163,7 +163,6 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    counter = OpCounter()
     for run in range(1, args.repeat + 1):
         counter = OpCounter()
         start = time.perf_counter()

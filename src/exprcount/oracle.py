@@ -52,7 +52,6 @@ Split = tuple[frozenset[int], frozenset[int]]
 class ClassSet:
     """The equivalence classes on exactly k variables, as canonical fractions."""
 
-    k: int
     classes: frozenset[Frac]
 
     def __len__(self) -> int:
@@ -140,7 +139,7 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     variable subset.
     """
     _check_k(k, cutoff)
-    return ClassSet(k, _tree_values(frozenset(range(1, k + 1)), {}))
+    return ClassSet(_tree_values(frozenset(range(1, k + 1)), {}))
 
 
 def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTree]:
@@ -173,9 +172,7 @@ def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTre
 
 def enumerate_tree_classes_literal(k: int, cutoff: int | None = None) -> ClassSet:
     """Class set via the one-tree-at-a-time route (slow; small k only)."""
-    return ClassSet(
-        k, frozenset(evaluate(t) for t in iter_expression_trees(k, cutoff))
-    )
+    return ClassSet(frozenset(evaluate(t) for t in iter_expression_trees(k, cutoff)))
 
 
 def _memoized(method):

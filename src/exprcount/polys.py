@@ -9,21 +9,23 @@ Python ints, so there is no overflow anywhere.
 
 The monomial order used for leading terms, rendering and sign conventions
 is graded lexicographic: higher total degree wins, ties are broken by
-comparing exponents of the lowest-indexed variable first.
+comparing exponents of the lowest-indexed variable first; its one sort
+key is ``_grlex_desc_key``.
 
 ``poly_gcd`` is exact: after cheap exits for trivial and monomial inputs it
 tries the heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
 interpolate the gcd or a cofactor), accepts a candidate only when it
 divides both inputs, and falls back to a primitive pseudo-remainder
-sequence when every evaluation point fails.  ``divexact`` keeps its remainder's terms in a heap, so each
-step finds the leading term in logarithmic time.
+sequence when every evaluation point fails.  ``divexact`` divides by one
+term (a content) term by term, and otherwise keeps its remainder's terms
+in a heap, so each step finds the leading term in logarithmic time.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
+from collections.abc import Iterable
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -58,6 +60,8 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
     """Return a/b as a monomial, or None when b does not divide a."""
+    if not b:
+        return a
     exps = dict(a)
     for v, e in b:
         have = exps.get(v, 0)
@@ -70,19 +74,14 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(sorted(exps.items()))
 
 
-def grlex_key(m: Monomial) -> tuple:
-    """Sort key realizing graded-lex order with x1 > x2 > ... on ties."""
-    return (sum(e for _, e in m), _lex_key(m))
-
-
 def _lex_key(m: Monomial) -> tuple:
     """Sort key realizing pure lex order with x1 > x2 > ..."""
     return tuple((-v, e) for v, e in m)
 
 
 def _grlex_desc_key(m: Monomial) -> tuple:
-    # Reverses grlex_key: within one total degree no key is a prefix of
-    # another, so negating every component reverses the comparison.
+    # Graded-lex larger sorts first: within one total degree no key is a
+    # prefix of another, so the lowest-indexed differing exponent decides.
     return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
 
 
@@ -144,7 +143,7 @@ class Poly:
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return min(self.terms, key=_grlex_desc_key)
 
     def leading_coeff(self) -> int:
         return self.terms[self.leading_monomial()]
@@ -172,26 +171,22 @@ class Poly:
                     break
         return Poly(out)
 
-    def _merge(self, other: "Poly", op) -> "Poly":
-        # self + other or self - other, with op = operator.add / operator.sub
+    def __add__(self, other: "Poly") -> "Poly":
+        if not self.terms:
+            return other
         if not other.terms:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = op(out.get(m, 0), c)
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
         return Poly._raw(out)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not self.terms:
-            return other
-        return self._merge(other, operator.add)
-
     def __sub__(self, other: "Poly") -> "Poly":
-        return self._merge(other, operator.sub)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly._raw({m: -c for m, c in self.terms.items()})
@@ -218,10 +213,6 @@ class Poly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in descending graded-lex order (deterministic rendering)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
     def __str__(self) -> str:
         return poly_str(self)
 
@@ -234,7 +225,7 @@ def poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for m, c in p.sorted_terms():
+    for m, c in sorted(p.terms.items(), key=lambda t: _grlex_desc_key(t[0])):
         mag = abs(c)
         if m == CONST_MONOMIAL:
             body = str(mag)
@@ -260,7 +251,7 @@ def normalize_sign(p: Poly) -> Poly:
 def divexact(p: Poly, d: Poly) -> Poly:
     """Exact division p/d; raises ArithmeticError when d does not divide p.
 
-    A constant divisor divides coefficient by coefficient.  Otherwise the
+    A one-term divisor c*m divides term by term.  Otherwise the
     remainder's monomials sit in a heap ordered by descending grlex; a
     monomial is pushed when it enters the remainder, entries whose term has
     since cancelled are skipped, and the leading term is cancelled by
@@ -270,17 +261,16 @@ def divexact(p: Poly, d: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return Poly.zero()
-    if d.is_constant():
-        c = d.constant_value()
-        if c == 1:
+    if len(d.terms) == 1:
+        [(dm, dc)] = d.terms.items()
+        if not dm and dc == 1:
             return p
-        if c == -1:
-            return -p
         out = {}
-        for m, k in p.terms.items():
-            if k % c != 0:
+        for m, c in p.terms.items():
+            qm = monomial_div(m, dm)
+            if qm is None or c % dc:
                 raise ArithmeticError("inexact polynomial division")
-            out[m] = k // c
+            out[qm] = c // dc
         return Poly._raw(out)
     lead_m = d.leading_monomial()
     lead_c = d.terms[lead_m]
@@ -347,7 +337,7 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
         r = lead_b * r - lead_r * b
         ic = r.icontent()
         if ic > 1:
-            r = Poly._raw({m: c // ic for m, c in r.terms.items()})
+            r = divexact(r, Poly.const(ic))
     return r
 
 
@@ -368,11 +358,12 @@ GCDHEU_POINTS = 6
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd over the integer polynomial ring, exact and unique up to sign.
 
-    Cheap exits come first: a zero or constant input, variable-disjoint
-    inputs, and an input that is one monomial.  Otherwise the integer and
-    monomial contents are taken out, and the heuristic gcd (``_gcdheu``)
-    tries up to ``GCDHEU_POINTS`` evaluation points on what is left,
-    returning a candidate only once ``divexact`` has divided both by it.
+    Cheap exits come first: a zero input, inputs with no variable in
+    common (a constant among them), and an input that is one monomial.
+    Otherwise the integer and monomial contents are taken out, and the
+    heuristic gcd (``_gcdheu``) tries up to ``GCDHEU_POINTS`` evaluation
+    points on what is left, returning a candidate only once ``divexact``
+    has divided both by it.
     If every point fails, a primitive pseudo-remainder sequence
     (``_prs_gcd``) computes the gcd.  The result has a positive graded-lex
     leading coefficient; gcd(p, 0) = +/-p normalized, gcd(0, 0) = 0.
@@ -381,22 +372,15 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return normalize_sign(q)
     if q.is_zero():
         return normalize_sign(p)
-    if p.is_constant() or q.is_constant():
-        return Poly.const(math.gcd(p.icontent(), q.icontent()))
-
-    vars_p = p.variables()
-    vars_q = q.variables()
-    if not vars_p & vars_q:
-        # a divisor of p only involves variables of p, so the gcd of
-        # variable-disjoint polynomials is an integer
+    if p.is_constant() or q.is_constant() or not p.variables() & q.variables():
+        # a divisor of p only involves variables of p, so the gcd of a
+        # constant or of variable-disjoint polynomials is an integer
         return Poly.const(math.gcd(p.icontent(), q.icontent()))
     # gcd(p, q) = gcd of the integer contents * gcd of the monomial contents
     # * gcd of what is left, which no integer > 1 and no variable divides
     cp, cq = p.icontent(), q.icontent()
-    mp, mq = _monomial_content(p), _monomial_content(q)
-    exps = dict(mp)
-    mono = tuple((v, min(e, exps[v])) for v, e in mq if v in exps)
-    c = Poly._raw({mono: math.gcd(cp, cq)})
+    mp, mq = _monomial_content(p.terms), _monomial_content(q.terms)
+    c = Poly._raw({_monomial_content((mp, mq)): math.gcd(cp, cq)})
     if len(p.terms) == 1 or len(q.terms) == 1:
         return c
     p = divexact(p, Poly._raw({mp: cp}))
@@ -407,11 +391,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return normalize_sign(c * g)
 
 
-def _monomial_content(p: Poly) -> Monomial:
-    """The monomial that divides every term of p with the largest exponents."""
-    terms = iter(p.terms)
-    exps = dict(next(terms))
-    for m in terms:
+def _monomial_content(monomials: Iterable[Monomial]) -> Monomial:
+    """The largest monomial that divides every one of the given monomials."""
+    rest = iter(monomials)
+    exps = dict(next(rest))
+    for m in rest:
         if not exps:
             break
         have = dict(m)

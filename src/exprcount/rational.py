@@ -48,31 +48,28 @@ class Frac:
         """Set of variable indices contained by the fraction."""
         return self.num.variables() | self.den.variables()
 
-    def _combine(self, other: "Frac", sign: int) -> "Frac":
+    def __add__(self, other: "Frac") -> "Frac":
         # Classical cross-cancelling sum: with gcd(a,b) = gcd(c,d) = 1 and
-        # g = gcd(b,d), h = gcd(a(d/g) +/- c(b/g), g), the pair
+        # g = gcd(b,d), h = gcd(a(d/g) + c(b/g), g), the pair
         # (t/h, (b/g)(d/h)) is already coprime, so no further gcd is needed.
         a, b = self.num, self.den
         c, d = other.num, other.den
         g = poly_gcd(b, d)
         if g.is_constant() and g.constant_value() == 1:
-            t = a * d + c * b if sign > 0 else a * d - c * b
+            t = a * d + c * b
             if t.is_zero():
                 return ZERO
             return Frac._raw(t, b * d)
         b0 = divexact(b, g)
         d0 = divexact(d, g)
-        t = a * d0 + c * b0 if sign > 0 else a * d0 - c * b0
+        t = a * d0 + c * b0
         if t.is_zero():
             return ZERO
         h = poly_gcd(t, g)
         return Frac._raw(divexact(t, h), b0 * divexact(d, h))
 
-    def __add__(self, other: "Frac") -> "Frac":
-        return self._combine(other, 1)
-
     def __sub__(self, other: "Frac") -> "Frac":
-        return self._combine(other, -1)
+        return self + -other
 
     def __mul__(self, other: "Frac") -> "Frac":
         if self.num.is_zero() or other.num.is_zero():
@@ -150,7 +147,7 @@ def canonicalize(num: Poly, den: Poly) -> Frac:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
-        return Frac._raw(Poly.zero(), Poly.one())
+        return ZERO
     g = poly_gcd(num, den)
     return _signed(divexact(num, g), divexact(den, g))
 

@@ -383,7 +383,7 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
         found = enumerate_tree_classes(k, cutoff=cutoff)
         if k != 2:
             return found
-        return ClassSet(k, frozenset(list(found.classes)[1:]))
+        return ClassSet(frozenset(list(found.classes)[1:]))
 
     monkeypatch.setattr(cli, "enumerate_tree_classes", one_class_short_at_k2)
     code, out, _ = run(capsys, "verify", "--max-k", "2")

@@ -8,10 +8,13 @@ import pytest
 
 from exprcount import (
     BASE_ROW,
+    InexactDivisionError,
     OpCounter,
     SequenceRow,
     compute_table,
+    counting,
 )
+from exprcount.cli import main
 
 
 def test_base_row():
@@ -26,6 +29,26 @@ def test_rejects_nonpositive_n():
         compute_table(0)
     with pytest.raises(ValueError):
         compute_table(-3)
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        (SequenceRow(1, 1, 1, 1, 1), "Q numerator odd at k=2"),
+        (SequenceRow(2, 1, 1, 1, 1), "S_k odd at k=2"),
+    ],
+)
+def test_odd_halving_raises_and_count_exits_3(capsys, monkeypatch, base, message):
+    # No real row reaches these checks, so a base row that breaks the
+    # pairing of sums with their negations stands in for an engine fault.
+    monkeypatch.setattr(counting, "BASE_ROW", base)
+    with pytest.raises(InexactDivisionError) as exc:
+        compute_table(2)
+    assert str(exc.value) == message
+    assert main(["count", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: InexactDivisionError: {message}\n"
 
 
 # Rows for k = 2..4 are frozen from the exhaustive tree-enumeration oracle

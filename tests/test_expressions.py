@@ -81,6 +81,8 @@ def test_name_map_first_occurrence_order():
     parse("p+q", shared)
     tree, _ = parse("q-p", shared)
     assert tree == Sub(Leaf(2), Leaf(1))
+    with pytest.raises(ValueError, match="name map must be injective"):
+        NameMap({"a": 1, "b": 1})
 
 
 def test_render_examples():

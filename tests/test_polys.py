@@ -18,6 +18,8 @@ def test_zero_and_constants():
     assert Poly.const(5).constant_value() == 5
     assert (Poly.const(3) + Poly.const(-3)).is_zero()
     assert Poly.one().is_constant()
+    with pytest.raises(ValueError):
+        Poly.variable(0)
 
 
 def test_no_zero_terms_stored():
@@ -38,6 +40,8 @@ def test_grlex_leading_term():
     assert p.leading_monomial() == ((2, 1), (3, 1))
     q = x1 * x3 + x2 * x2
     assert q.leading_monomial() == ((1, 1), (3, 1))
+    with pytest.raises(ValueError):
+        Poly.zero().leading_monomial()
 
 
 def test_derivative():
@@ -85,6 +89,11 @@ def test_divexact_errors_on_inexact():
     b = x1 * x2 + x3 * x3 - Poly.const(2)
     with pytest.raises(ArithmeticError):
         divexact(b * b * x1 + x3, b)
+    # one-term divisors: a term misses a variable, a coefficient does not divide
+    with pytest.raises(ArithmeticError):
+        divexact(x1 * x2 + x1, x1 * x2)
+    with pytest.raises(ArithmeticError):
+        divexact(Poly.const(3) * x1 * x2, Poly.const(2) * x1)
     with pytest.raises(ZeroDivisionError):
         divexact(x1, Poly.zero())
 
@@ -95,6 +104,16 @@ def test_divexact_roundtrip_random():
         a = random_poly(rnd, [1, 2, 3])
         b = random_poly(rnd, [2, 3], nonzero=True)
         assert divexact(a * b, b) == a
+    # one-term divisors c*m, divided term by term
+    for _ in range(300):
+        a = random_poly(rnd, [1, 2, 3])
+        c = rnd.choice([-1, 1]) * rnd.randint(1, 6)
+        m = Poly.const(c)
+        for v in (1, 2, 3):
+            for _ in range(rnd.randint(0, 2)):
+                m = m * Poly.variable(v)
+        assert divexact(a * m, m) == a
+        assert divexact(a, Poly.const(-1)) == -a
 
 
 def test_gcd_divides_both_and_is_symmetric_up_to_sign():
