@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unsafe-large",
         action="store_true",
-        help="allow K beyond the enumeration cutoff (k=5 takes seconds)",
+        help="allow K beyond the enumeration cutoff (k=5 takes about a second, k=6 half a minute)",
     )
     # Accepted and validated but selects nothing: the enumeration is serial.
     # Kept only because perfbench's verify argv still passes --processes 1.

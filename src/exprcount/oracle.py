@@ -7,14 +7,16 @@ minus at any node position but never directly on top of another one):
 
 * ``enumerate_tree_classes`` recurses over variable subsets.  A tree on
   the variable set V with |V| >= 2 is +-(L-tree op R-tree) for a split
-  V = L | R, and op acts elementwise on the value sets of the two sides,
-  so the values on V are +-(u + w), +-(u * w), +-q and +-1/q, q = u / w,
-  over the unordered splits {L, R}, u a value on L and w a value on R
-  (the mirrored split repeats the sums and products, and its quotients
-  are the reciprocals 1/q); each subset's value set is computed once.
-  Skipping stacked negations loses no classes since -(-e) = e, and the
-  binary ``-`` contributes no value that ``+`` against a negation-closed
-  operand set does not already produce.
+  V = L | R, and op acts elementwise on the value sets of the two sides.
+  Every value set is closed under negation, so with u one representative
+  per +/- pair on L and w one on R, the values on V are exactly
+  +-(u + w), +-(u - w), +-(u * w), +-q and +-1/q, q = u / w, over the
+  unordered splits {L, R} (the mirrored split repeats the sums and
+  products, and its quotients are the reciprocals 1/q); each subset's
+  representatives are computed once.  Skipping stacked negations loses
+  no classes since -(-e) = e, and the binary ``-`` contributes no value
+  that ``+`` against a negation-closed operand set does not already
+  produce.
 
 * ``enumerate_grammar`` builds sum-type / product-type / Pi1 / Pi2
   expressions structurally from their decompositions over variable
@@ -26,7 +28,7 @@ Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
 route, ``iter_expression_trees``, walks the raw tree space of roughly
 Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
-2e8 at k = 5; the subset recursion takes seconds at k = 5.
+2e8 at k = 5; the subset recursion takes under a second at k = 5.
 """
 
 from __future__ import annotations
@@ -104,29 +106,41 @@ def _splits(vars_: frozenset[int]) -> list[Split]:
     return out
 
 
-def _tree_values(vars_: frozenset[int], memo: dict) -> frozenset[Frac]:
+def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
     """Values of every tree that holds each variable of vars_ in one leaf.
 
-    Each unordered split stands for itself and its mirror: the mirror
-    repeats the sums and products and adds only the reciprocals of the
-    quotients u/w.
+    The value sets are closed under negation, so the walk combines one
+    representative u per +/- pair on the left with one w on the right:
+    +-(u + w), +-(u - w), +-u*w, +-q and +-1/q, q = u/w, are all the values
+    the signed pairs give, and the mirrored split adds only the reciprocals.
+    memo[vars_] keeps the first member reached of each pair; the full
+    signed set is only what this call returns.
     """
     if len(vars_) == 1:
         x = Frac.variable(min(vars_))
-        return frozenset((x, -x))
-    got = memo.get(vars_)
-    if got is None:
-        out: set[Frac] = set()
-        for left, right in _splits(vars_):
-            rights = _tree_values(right, memo)
-            for u in _tree_values(left, memo):
-                for w in rights:
-                    q = u / w
-                    for r in (u + w, u * w, q, q.reciprocal()):
+        memo[vars_] = [x]
+        return {x, -x}
+    out: set[Frac] = set()
+    reps: list[Frac] = []
+    for left, right in _splits(vars_):
+        rights = _tree_reps(right, memo)
+        for u in _tree_reps(left, memo):
+            for w in rights:
+                q = u / w
+                for r in (u + w, u - w, u * w, q, q.reciprocal()):
+                    if r not in out:
                         out.add(r)
                         out.add(-r)
-        got = memo[vars_] = frozenset(out)
-    return got
+                        reps.append(r)
+    memo[vars_] = reps
+    return out
+
+
+def _tree_reps(vars_: frozenset[int], memo: dict) -> list[Frac]:
+    """One value per +/- pair of the values on vars_, computed once per subset."""
+    if vars_ not in memo:
+        _tree_values(vars_, memo)
+    return memo[vars_]
 
 
 def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
@@ -134,12 +148,12 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
 
     A tree on the variable set V with |V| >= 2 is +-(L-tree op R-tree)
     for some split V = L | R, and op acts elementwise on the two value
-    sets, so values(V) is built from values(L) and values(R) over the
-    unordered splits {L, R} (u+w, u*w, u/w and its reciprocal), memoized by
-    variable subset.
+    sets, so values(V) is built from one representative per +/- pair on L
+    and on R over the unordered splits {L, R} (u+w, u-w, u*w, u/w and its
+    reciprocal, each with its negation), memoized by variable subset.
     """
     _check_k(k, cutoff)
-    return ClassSet(_tree_values(frozenset(range(1, k + 1)), {}))
+    return ClassSet(frozenset(_tree_values(frozenset(range(1, k + 1)), {})))
 
 
 def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTree]:
@@ -179,7 +193,7 @@ def _memoized(method):
     """Cache method(self, vars_) in the builder's one memo dict."""
 
     @wraps(method)
-    def cached(self: "_GrammarBuilder", vars_: frozenset[int]) -> list[Frac]:
+    def cached(self: "_GrammarBuilder", vars_: frozenset[int]) -> list:
         got = self._memo.get((method, vars_))
         if got is None:
             got = self._memo[method, vars_] = method(self, vars_)
@@ -200,19 +214,34 @@ class _GrammarBuilder:
     """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, list[Frac]] = {}
+        self._memo: dict[tuple, list] = {}
 
     @_memoized
     def sum_values(self, vars_: frozenset[int]) -> list[Frac]:
+        """Sums p + a, p a product-type head holding min(vars_), a any tail.
+
+        Heads come in adjacent (p, -p) pairs, so only p's row is added up:
+        -p + a = -(p + (-a)), which makes -p's row the negated p row read
+        through the tail list's negation index.
+        """
         if len(vars_) == 1:
             return self.all_values(vars_)
         out = []
         for head_vars, tail_vars in _splits(vars_):
             tails = self.all_values(tail_vars)
-            for p in self.product_values(head_vars):
-                for a in tails:
-                    out.append(p + a)
+            neg = self.negation_index(tail_vars)
+            for p in self.product_values(head_vars)[::2]:
+                row = [p + a for a in tails]
+                out += row
+                out += [-row[j] for j in neg]
         return out
+
+    @_memoized
+    def negation_index(self, vars_: frozenset[int]) -> list[int]:
+        """neg[i] is the position of -v in all_values(vars_), v its i-th entry."""
+        values = self.all_values(vars_)
+        position = {f: i for i, f in enumerate(values)}
+        return [position[-f] for f in values]
 
     @_memoized
     def sum_reps(self, vars_: frozenset[int]) -> list[Frac]:

@@ -401,6 +401,15 @@ def test_verify_refuses_large_without_flag(capsys):
     assert "--unsafe-large" in err
 
 
+def test_verify_past_the_cutoff_with_unsafe_large(capsys):
+    code, out, _ = run(capsys, "verify", "--max-k", "5", "--unsafe-large")
+    assert code == 0
+    assert out.splitlines() == [
+        f"k={k}: oracle={a} engine={a} PASS"
+        for k, a in enumerate((2, 10, 94, 1466, 31814), 1)
+    ] + ["all 5 checks passed"]
+
+
 def test_bench_reports_counts_deterministically(capsys):
     code, out, err = run(capsys, "bench", "--n", "32", "--repeat", "2")
     assert code == 0

@@ -1,7 +1,8 @@
 """Enumeration oracle: tree classes, grammar generation, theorem checks."""
 
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +15,7 @@ from exprcount import (
     iter_expression_trees,
     tree_shapes,
 )
-from exprcount.oracle import _GrammarBuilder, _splits
+from exprcount.oracle import _GrammarBuilder, _splits, _tree_values
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
@@ -242,3 +243,100 @@ def test_dump_classes_deterministic_and_golden():
     assert "(x1 + x2)/(1)" in lines
     assert "(x2)/(x1)" in lines
     assert lines == sorted(f.render() for f in enumerate_tree_classes(2).classes)
+
+
+def test_tree_memo_holds_one_value_per_sign_pair():
+    for k in range(1, 6):
+        full = frozenset(range(1, k + 1))
+        memo: dict = {}
+        _tree_values(full, memo)
+        assert set(memo) == {
+            frozenset(c) for m in range(1, k + 1) for c in combinations(range(1, k + 1), m)
+        }
+        for reps in memo.values():
+            # 2n distinct values: no repeat, and never both f and -f
+            assert len(set(reps) | {-f for f in reps}) == 2 * len(reps)
+        reps = set(memo[full])
+        assert reps | {-f for f in reps} == enumerate_tree_classes(k, cutoff=5).classes
+
+
+def _all_signed_pairs_values(vars_, memo):
+    """The tree recursion over every signed u and w, kept as a reference."""
+    if len(vars_) == 1:
+        x = Frac.variable(min(vars_))
+        return frozenset((x, -x))
+    if vars_ not in memo:
+        out = set()
+        for left, right in _splits(vars_):
+            for u in _all_signed_pairs_values(left, memo):
+                for w in _all_signed_pairs_values(right, memo):
+                    q = u / w
+                    for r in (u + w, u * w, q, q.reciprocal()):
+                        out |= {r, -r}
+        memo[vars_] = frozenset(out)
+    return memo[vars_]
+
+
+def test_representative_walk_matches_all_signed_pairs():
+    for k in range(1, 5):
+        reference = _all_signed_pairs_values(frozenset(range(1, k + 1)), {})
+        assert enumerate_tree_classes(k).classes == reference
+
+
+# SHA-256 of each grammar list's rendered entries, one per line, built with
+# one shared builder for k = 1..4.  A change that reorders a list shows here.
+GRAMMAR_DIGESTS = {
+    (1, "sum"): "90a515e3339b3ded9a2937fbabde81b91845280a7d4d2481f6f1717d4e2582bb",
+    (1, "product"): "90a515e3339b3ded9a2937fbabde81b91845280a7d4d2481f6f1717d4e2582bb",
+    (1, "pi1"): "18e8661d9784dba1ffc41c00cca98d99813f8917fd5f8da9a71a99a286176541",
+    (1, "pi2"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, "sum"): "f058a01c7af5d04a4609bf5096b4861f61bca1f3e76cce95e8e1ccdef43b639b",
+    (2, "product"): "bd5c8324814a08769a625384d434918e26f36c165be09c0835ba71ed51f36449",
+    (2, "pi1"): "dd8a6f65cc5e2d3b492de88bf7f1a9c2ba193aa8c240f1451fe24c52d2c2e164",
+    (2, "pi2"): "e0504c11be701d13e9b65fb091c6de6a1f9d90c09d01dc58026f1c85a2b67ac8",
+    (3, "sum"): "ff764b45aa3cb2d58493bcb6221abc8a988f5e27f8aa9a818bf1314804702c6e",
+    (3, "product"): "808ebef6c704680317647688452835241539a2a1a86f8c7e9af6d89938b94762",
+    (3, "pi1"): "7c62c5ff411fbf5fdda542e37889af0bb3fe9587a7467d19dbe10d355804be47",
+    (3, "pi2"): "871b81563ed651cb238b38da422538a0ac44fd4ada2794806c64a9d58501fcd4",
+    (4, "sum"): "c5e9064310b3513d9e796d56352617abfef85650a0d89c11c337d1746c1cbe1a",
+    (4, "product"): "1ad92fd3fdebdf4fbc5fd81465d8453400b5a8cfc65424a48b65a343f80ecf6e",
+    (4, "pi1"): "be7bdb399cf548e4186c918ebdd2980ed2f356f67146d7a731a324958ed1eb7c",
+    (4, "pi2"): "031e8444014de6f0248bfa8df040096fcf2f3e3689822070205c75cd9b2b8856",
+}
+
+
+def test_grammar_list_order_is_pinned():
+    builder = _GrammarBuilder()
+    for (k, kind), digest in GRAMMAR_DIGESTS.items():
+        values = enumerate_grammar(k, kind, builder=builder)
+        text = "\n".join(f.render() for f in values)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (k, kind)
+
+
+def test_negation_index_is_an_involution_onto_negatives():
+    builder = _GrammarBuilder()
+    for m in range(1, 5):
+        for chosen in combinations(range(1, 5), m):
+            vars_ = frozenset(chosen)
+            values = builder.all_values(vars_)
+            neg = builder.negation_index(vars_)
+            assert len(neg) == len(values)
+            assert all(neg[neg[i]] == i for i in range(len(neg)))
+            assert all(values[neg[i]] == -values[i] for i in range(len(neg)))
+
+
+@pytest.mark.exact_k6
+def test_exact_k6_tree_and_grammar_routes():
+    # A_6 by both exact routes; about a minute and 1 GB, so deselected by
+    # default (see pyproject.toml) and run with `pytest -m exact_k6`.
+    row = compute_table(6).row(6)
+    classes = enumerate_tree_classes(6, cutoff=6).classes
+    assert len(classes) == row.A == 887650
+    builder = _GrammarBuilder()
+    lengths = {"sum": row.S, "product": row.P, "pi1": row.R, "pi2": row.Q}
+    for kind, length in lengths.items():
+        values = enumerate_grammar(6, kind, cutoff=6, builder=builder)
+        assert len(values) == len(set(values)) == length
+    union = set(enumerate_grammar(6, "sum", cutoff=6, builder=builder))
+    union.update(enumerate_grammar(6, "product", cutoff=6, builder=builder))
+    assert union == classes
