@@ -20,6 +20,21 @@ the earlier rows by convolutions against one row of binomial coefficients:
 
 Both divisions are exact because sum-type expressions pair up with their
 negations; an odd sum would mean a bug, so it raises instead of truncating.
+
+Two symmetries of the sums bring row k down to 4k - 2 big-integer
+multiplications: about 2.5k products of two counts and 1.5k products by a
+binomial.  In the S and Q sums the binomial is symmetric,
+C(k-1, j-1) = C(k-1, k-j), so the terms j and k+1-j share one weight:
+
+    C(k-1, j-1) * (P_j * A_{k-j} + P_{k+1-j} * A_{j-1})    for 2 <= j <= k/2,
+
+with j = (k+1)/2 alone when k is odd, and the j = 1 term of weight 1
+needing no binomial multiply.  In the P sum the whole term is symmetric
+under j -> k-j, so the terms j < k/2 are added once and doubled, with
+j = k/2 alone when k is even.  Every binomial multiplies a finished
+product, never one factor of it: the balanced product of two counts is
+formed first and then scaled by the binomial, its shorter factor.
+
 Only two Pascal-triangle rows are alive at any point, giving linear memory
 in stored integers and a quadratic operation count overall.
 """
@@ -79,14 +94,23 @@ def _next_row(
     """Row k = len(rows)+1 from rows 1..k-1 and Pascal rows k-1 and k."""
     k = len(rows) + 1
 
-    total = 0
-    for j in range(1, k):
-        total += bkm1[j - 1] * rows[j - 1].P * rows[k - j - 1].A
-    s = total
-
-    total = 0
-    for j in range(1, k):
-        total += bkm1[j - 1] * rows[j - 1].S * rows[k - j - 1].R
+    # S and Q: the j = 1 term has weight C(k-1, 0) = 1, terms j and k+1-j
+    # share C(k-1, j-1), and j = (k+1)/2 (k odd) pairs with itself.
+    # rows[i] holds row i+1.
+    first, last = rows[0], rows[k - 2]
+    s = first.P * last.A
+    total = first.S * last.R
+    for j in range(2, k // 2 + 1):
+        c = bkm1[j - 1]
+        lo, lo_mate = rows[j - 1], rows[k - j - 1]  # rows j and k-j
+        hi, hi_mate = rows[k - j], rows[j - 2]  # rows k+1-j and j-1
+        s += c * (lo.P * lo_mate.A + hi.P * hi_mate.A)
+        total += c * (lo.S * lo_mate.R + hi.S * hi_mate.R)
+    if k % 2:
+        j = (k + 1) // 2
+        c, mid, mate = bkm1[j - 1], rows[j - 1], rows[j - 2]
+        s += c * (mid.P * mate.A)
+        total += c * (mid.S * mate.R)
     if total % 2:
         raise InexactDivisionError(f"Q numerator odd at k={k}")
     q = total // 2
@@ -95,16 +119,26 @@ def _next_row(
         raise InexactDivisionError(f"S_k odd at k={k}")
     r = q + s // 2
 
-    total = q
-    for j in range(1, k):
-        total += bk[j] * rows[j - 1].R * rows[k - j - 1].R
+    # P: terms j and k-j are equal, so the terms j < k/2 count twice and
+    # j = k/2 (k even) once.
+    total = 0
+    for j in range(1, (k + 1) // 2):
+        total += bk[j] * (rows[j - 1].R * rows[k - j - 1].R)
+    total = q + 2 * total
+    if k % 2 == 0:
+        mid = rows[k // 2 - 1].R
+        total += bk[k // 2] * (mid * mid)
     p = 2 * total
 
     a = s + p
 
     if counter is not None:
-        counter.muls += 6 * (k - 1) + 1
-        counter.adds += 3 * (k - 1) + 2
+        # Per row: S and Q each 1 + 3 per pair + 2 for a middle term, P 2 per
+        # term, 2 for a middle term and 2 doublings, in all 4k - 2 products;
+        # S and Q 2 additions per pair and 1 for a middle term, P 1 per term,
+        # 1 for q and 1 for a middle term, then r and a: (5k - 2) // 2 sums.
+        counter.muls += 4 * k - 2
+        counter.adds += (5 * k - 2) // 2
         counter.divs += 2
     return SequenceRow(S=s, Q=q, R=r, P=p, A=a)
 

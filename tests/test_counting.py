@@ -1,8 +1,11 @@
 """Recurrence engine: base values, derived rows, invariants, memory shape."""
 
+import hashlib
+import operator
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -51,6 +54,47 @@ def test_odd_halving_raises_and_count_exits_3(capsys, monkeypatch, base, message
     assert captured.err == f"internal error: InexactDivisionError: {message}\n"
 
 
+def test_odd_q_numerator_in_a_paired_row_raises_and_count_exits_3(capsys, monkeypatch):
+    # This base row gives an even Q numerator at k = 2 and an odd one at
+    # k = 3, whose S and Q sums end in the self-paired term j = 2.
+    monkeypatch.setattr(counting, "BASE_ROW", SequenceRow(S=1, Q=1, R=2, P=1, A=4))
+    assert compute_table(2).row(2) == SequenceRow(S=4, Q=1, R=3, P=18, A=22)
+    message = "Q numerator odd at k=3"
+    with pytest.raises(InexactDivisionError) as exc:
+        compute_table(3)
+    assert str(exc.value) == message
+    assert main(["count", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: InexactDivisionError: {message}\n"
+
+
+def _textbook_rows(n):
+    """Rows 1..n of the recurrence with every term j weighted by its own binomial."""
+    rows = [BASE_ROW]
+    for k in range(2, n + 1):
+        terms = [(comb(k - 1, j - 1), rows[j - 1], rows[k - j - 1]) for j in range(1, k)]
+        s = sum(c * lo.P * hi.A for c, lo, hi in terms)
+        q = sum(c * lo.S * hi.R for c, lo, hi in terms) // 2
+        rr = sum(comb(k, j) * rows[j - 1].R * rows[k - j - 1].R for j in range(1, k))
+        p = 2 * (q + rr)
+        rows.append(SequenceRow(S=s, Q=q, R=q + s // 2, P=p, A=s + p))
+    return tuple(rows)
+
+
+def test_paired_sums_equal_the_textbook_recurrence():
+    textbook = _textbook_rows(60)
+    for n in range(1, 61):
+        assert compute_table(n).rows == textbook[:n]
+    assert compute_table(300).rows == _textbook_rows(300)
+
+
+def test_count_400_json_is_pinned(capsys):
+    assert main(["count", "--n", "400", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "41c237024b2468a9a5d46e28a02ddafab7e2778698c714cf878d18a60bb1e3d5"
+
+
 # Rows for k = 2..4 are frozen from the exhaustive tree-enumeration oracle
 # (see test_oracle.py); the engine must reproduce them exactly.
 EXPECTED = {
@@ -96,6 +140,52 @@ def test_operation_count_scales_quadratically():
     compute_table(512, c2)
     ratio = c2.muls / c1.muls
     assert 3.6 <= ratio <= 4.4
+
+
+def test_bench_line_states_the_closed_form(capsys):
+    assert main(["bench", "--n", "32"]) == 0
+    out = capsys.readouterr().out
+    assert out == "n=32 multiplications=2046 additions=1774 exact_divisions=62\n"
+    # Row k makes 4k - 2 multiplications, (5k - 2) // 2 additions and 2
+    # halvings, and each new Pascal row k + 1 one addition per inner entry.
+    n = 32
+    assert 2046 == sum(4 * k - 2 for k in range(2, n + 1)) == 2 * n * n - 2
+    assert 1774 == sum((5 * k - 2) // 2 for k in range(2, n + 1)) + sum(range(2, n))
+    assert 62 == 2 * (n - 1)
+
+
+def _tallying_int(tally):
+    """An int subclass that tallies its products, sums and floor quotients, all of its type."""
+
+    def tallied(op, name):
+        def method(self, other):
+            tally[name] += 1
+            return Tallied(op(int(self), int(other)))
+
+        return method
+
+    class Tallied(int):
+        __mul__ = __rmul__ = tallied(operator.mul, "muls")
+        __add__ = __radd__ = tallied(operator.add, "adds")
+        __floordiv__ = tallied(operator.floordiv, "divs")
+
+    return Tallied
+
+
+def test_op_counter_counts_the_operations_on_counts(monkeypatch):
+    # Every count descends from the base row, so tallied base values see
+    # every multiplication, addition and halving that the rows make.
+    for n in (2, 3, 4, 5, 17, 40):
+        tally, counter = Counter(), OpCounter()
+        tallied = _tallying_int(tally)
+        monkeypatch.setattr(counting, "BASE_ROW", SequenceRow(*map(tallied, BASE_ROW)))
+        table = compute_table(n, counter)
+        assert all(type(v) is tallied for row in table.rows for v in row)
+        # Row 2 also doubles its empty pair sum of P, a plain 0, and the
+        # Pascal rows are built from plain ints: neither is tallied.
+        assert counter.muls == tally["muls"] + 1
+        assert counter.adds == tally["adds"] + sum(range(2, n))
+        assert counter.divs == tally["divs"]
 
 
 def test_table_is_immutable_and_indexable():
