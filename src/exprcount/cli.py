@@ -10,9 +10,9 @@ Subcommands::
 
 Exit codes: 0 success (and ``equiv`` equivalent), 1 ``equiv`` inequivalent
 or ``verify`` mismatch, 2 usage or expression syntax errors (including
-expressions nested deeper than ``expressions.MAX_DEPTH``), 3 any internal
-error.  All stdout output is deterministic; ``bench`` sends
-its wall-clock timings to stderr.
+expressions nested deeper than ``expressions.MAX_DEPTH``) and inputs past
+the recursion limit, 3 any internal error.  All stdout output is
+deterministic; ``bench`` sends its wall-clock timings to stderr.
 """
 
 from __future__ import annotations
@@ -30,30 +30,19 @@ from .oracle import DEFAULT_CUTOFF, enumerate_tree_classes
 
 _COLUMNS = ("S", "Q", "R", "P", "A")
 
-# CPython refuses int<->str conversions of more than 4,300 digits by default,
-# and counts pass that from k = 1247 on.  Past the limit _to_decimal converts
-# in pieces of _DIGITS digits, under the smallest limit CPython accepts (640),
-# so any count converts whatever the process-wide limit is.
-_DIGITS = 600
-_BASE = 10**_DIGITS
-
 
 def _to_decimal(v: int) -> str:
     """str(v) for a nonnegative int of any length.
 
-    Counts within the limit go through str() alone, so writing them makes
-    no divmod chain or digit pieces to allocate and free.
+    Counts pass CPython's 4,300-digit int->str limit from k = 1247 on;
+    ``decimal`` has no such limit, and str() alone is faster within it.
     """
     try:
         return str(v)
     except ValueError:  # more digits than the process-wide limit allows
-        pass
-    pieces = []
-    while v >= _BASE:
-        v, low = divmod(v, _BASE)
-        pieces.append(str(low).zfill(_DIGITS))
-    pieces.append(str(v))
-    return "".join(reversed(pieces))
+        from decimal import Decimal  # here: imported at the top, it slows every start
+
+        return str(Decimal(v))
 
 
 # The writers below emit one row at a time, so the text of a whole table
@@ -251,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the exact gcd recurses once per variable
+        print("error: input too large for Python's recursion limit", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 -- any other fault is internal
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -84,7 +84,8 @@ _TIGHTEST = max(prec for _, prec, _ in _BINARY.values())
 # high.  The parser recurses at most three times per parenthesis; evaluate,
 # render and eliminate_subtraction once per tree level.  So both stay far
 # below Python's default recursion limit of 1000, with room left for the
-# caller's frames and for the polynomial gcd underneath evaluate.
+# caller's frames.  The polynomial gcd underneath evaluate recurses once per
+# variable, so hundreds of distinct names can still pass the limit (exit 2).
 MAX_DEPTH = 200
 
 

@@ -84,12 +84,6 @@ def tree_shapes(leaves: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
-def _leaf_count(shape: Shape) -> int:
-    if shape is None:
-        return 1
-    return _leaf_count(shape[0]) + _leaf_count(shape[1])
-
-
 def _splits(vars_: frozenset[int]) -> list[Split]:
     """Each unordered split of vars_ into two nonempty parts, once.
 
@@ -167,13 +161,12 @@ def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTre
     _check_k(k, cutoff)
     ops = (Add, Sub, Mul, Div)
 
-    def build(shape: Shape, leaves: tuple[int, ...], ops_iter, negs_iter) -> ExprTree:
+    def build(shape: Shape, leaves_iter, ops_iter, negs_iter) -> ExprTree:
         if shape is None:
-            node: ExprTree = Leaf(leaves[0])
+            node: ExprTree = Leaf(next(leaves_iter))
         else:
-            nl = _leaf_count(shape[0])
-            left = build(shape[0], leaves[:nl], ops_iter, negs_iter)
-            right = build(shape[1], leaves[nl:], ops_iter, negs_iter)
+            left = build(shape[0], leaves_iter, ops_iter, negs_iter)
+            right = build(shape[1], leaves_iter, ops_iter, negs_iter)
             node = next(ops_iter)(left, right)
         return Neg(node) if next(negs_iter) else node
 
@@ -181,7 +174,7 @@ def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTre
         for leaves in permutations(range(1, k + 1)):
             for op_choice in product(ops, repeat=k - 1):
                 for neg_choice in product((False, True), repeat=2 * k - 1):
-                    yield build(shape, leaves, iter(op_choice), iter(neg_choice))
+                    yield build(shape, iter(leaves), iter(op_choice), iter(neg_choice))
 
 
 def enumerate_tree_classes_literal(k: int, cutoff: int | None = None) -> ClassSet:

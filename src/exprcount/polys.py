@@ -113,10 +113,6 @@ class Poly:
         return cls._raw({CONST_MONOMIAL: c} if c else {})
 
     @classmethod
-    def one(cls) -> "Poly":
-        return cls.const(1)
-
-    @classmethod
     def variable(cls, index: int) -> "Poly":
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
@@ -127,11 +123,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and CONST_MONOMIAL in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get(CONST_MONOMIAL, 0)
 
     def variables(self) -> frozenset[int]:
         out: set[int] = set()
@@ -220,6 +211,10 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
+# Polys are immutable, so the polynomial 1 is one shared object.
+ONE = Poly.const(1)
+
+
 def poly_str(p: Poly) -> str:
     """Render like ``x1*x2^2 - 3*x3 + 1``; the zero polynomial is ``0``."""
     if p.is_zero():
@@ -262,9 +257,9 @@ def divexact(p: Poly, d: Poly) -> Poly:
     if p.is_zero():
         return Poly.zero()
     if len(d.terms) == 1:
-        [(dm, dc)] = d.terms.items()
-        if not dm and dc == 1:
+        if d == ONE:
             return p
+        [(dm, dc)] = d.terms.items()
         out = {}
         for m, c in p.terms.items():
             qm = monomial_div(m, dm)
@@ -346,7 +341,7 @@ def _content_in(p: Poly, v: int) -> Poly:
     g = Poly.zero()
     for coeff_terms in _coeffs_in(p, v).values():
         g = poly_gcd(g, Poly._raw(coeff_terms))
-        if g.is_constant() and g.constant_value() == 1:
+        if g == ONE:
             break
     return g
 
@@ -520,7 +515,7 @@ def _prs_gcd(p: Poly, q: Poly) -> Poly:
     while True:
         if max(_coeffs_in(b, v)) == 0:
             # b is primitive in x_v with degree zero, hence a unit.
-            g = Poly.one()
+            g = ONE
             break
         r = _prem(a, b, v)
         if r.is_zero():

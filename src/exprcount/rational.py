@@ -13,7 +13,7 @@ out the gcd.  Fractions are immutable and safe to share.
 
 from __future__ import annotations
 
-from .polys import Poly, divexact, poly_gcd, poly_str
+from .polys import ONE, Poly, divexact, poly_gcd, poly_str
 
 
 class Frac:
@@ -35,11 +35,11 @@ class Frac:
 
     @classmethod
     def variable(cls, index: int) -> "Frac":
-        return cls._raw(Poly.variable(index), Poly.one())
+        return cls._raw(Poly.variable(index), ONE)
 
     @classmethod
     def const(cls, c: int) -> "Frac":
-        return cls._raw(Poly.const(c), Poly.one())
+        return cls._raw(Poly.const(c), ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -55,7 +55,7 @@ class Frac:
         a, b = self.num, self.den
         c, d = other.num, other.den
         g = poly_gcd(b, d)
-        if g.is_constant() and g.constant_value() == 1:
+        if g == ONE:
             t = a * d + c * b
             if t.is_zero():
                 return ZERO
@@ -72,8 +72,6 @@ class Frac:
         return self + -other
 
     def __mul__(self, other: "Frac") -> "Frac":
-        if self.num.is_zero() or other.num.is_zero():
-            return ZERO
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         return Frac._raw(
@@ -84,8 +82,6 @@ class Frac:
     def __truediv__(self, other: "Frac") -> "Frac":
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero fraction")
-        if self.num.is_zero():
-            return ZERO
         g1 = poly_gcd(self.num, other.num)
         g2 = poly_gcd(self.den, other.den)
         return _signed(
@@ -159,4 +155,4 @@ def _signed(num: Poly, den: Poly) -> Frac:
     return Frac._raw(num, den)
 
 
-ZERO = Frac._raw(Poly.zero(), Poly.one())
+ZERO = Frac._raw(Poly.zero(), ONE)

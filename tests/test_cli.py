@@ -5,6 +5,7 @@ import io
 import json
 import random
 import signal
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -78,12 +79,16 @@ def test_csv_round_trip():
     assert _csv_rows(_written(table_to_csv, table, True)) == _str_rows(table)
 
 
-def test_counts_past_the_int_str_digit_limit():
+def _past_the_digit_limit():
     # counts from k = 1247 on pass CPython's default 4,300-digit limit on
     # int<->str conversion; a hand-built table stands in for n >= 1247
     big = 10**4999 + 12345
     rows = (SequenceRow(big, k, big + k, 2 * big, 3 * big + k) for k in (1, 2))
-    table = SequenceTable(tuple(rows))
+    return SequenceTable(tuple(rows))
+
+
+def test_counts_past_the_int_str_digit_limit():
+    table = _past_the_digit_limit()
 
     def digits(lead, tail):
         # the decimal string of lead * 10**4999 + tail, tail < 10**5
@@ -98,6 +103,19 @@ def test_counts_past_the_int_str_digit_limit():
     assert _csv_rows(_written(table_to_csv, table, True)) == expected
     first_row = _written(cli._format_table, table, False).splitlines()[1]
     assert first_row.split() == ["1", digits(3, 37036)]
+
+
+def test_counts_under_the_smallest_int_str_digit_limit():
+    table = _past_the_digit_limit()
+    writers = [(table_to_json,), (table_to_csv, True), (cli._format_table, True)]
+    expected = [_written(w, table, *args) for w, *args in writers]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit CPython accepts
+    try:
+        got = [_written(w, table, *args) for w, *args in writers]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == expected
 
 
 # Independent renderings of the three count formats, each built whole in
@@ -324,6 +342,23 @@ def test_nesting_depth_limit_exits_2(capsys, nest):
     assert (code, out) == (2, "")
     assert err.startswith("syntax error: expression nested deeper than")
     assert "Traceback" not in err
+
+
+def test_too_many_variables_for_the_recursion_limit_exits_2(capsys):
+    # the exact gcd recurses once per variable: 500 distinct names, in a
+    # balanced sum about ten levels deep, pass Python's recursion limit
+    def balanced(names):
+        if len(names) == 1:
+            return names[0]
+        half = len(names) // 2
+        return f"({balanced(names[:half])} + {balanced(names[half:])})"
+
+    s = balanced([f"v{i}" for i in range(500)])
+    text = f"({s}) * (v0 + w) / (({s}) * (v0 - w))"
+    for argv in (["canon", "--", text], ["equiv", "--", text, "(v0 + w) / (v0 - w)"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: input too large for Python's recursion limit\n"
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from exprcount import Frac, Poly, canonicalize
+from exprcount.polys import ONE
+from exprcount.rational import ZERO
 from genlib import random_fraction
 
 x1 = Poly.variable(1)
@@ -18,14 +20,14 @@ f3 = Frac.variable(3)
 def test_canonicalize_cancels_common_factor():
     f = canonicalize(x1 * x2 + x1 * x3, x1)
     assert f.num == x2 + x3
-    assert f.den == Poly.one()
+    assert f.den == ONE
 
 
 def test_canonicalize_sign_convention():
     f = canonicalize(-x1, -x2)
     assert (f.num, f.den) == (x1, x2)
     g = canonicalize(x1, Poly.const(-1))
-    assert (g.num, g.den) == (-x1, Poly.one())
+    assert (g.num, g.den) == (-x1, ONE)
 
 
 def test_canonicalize_idempotent():
@@ -42,7 +44,7 @@ def test_zero_denominator_rejected():
 def test_zero_fraction_normal_form():
     f = canonicalize(Poly.zero(), -x2)
     assert f.is_zero()
-    assert (f.num, f.den) == (Poly.zero(), Poly.one())
+    assert (f.num, f.den) == (Poly.zero(), ONE)
 
 
 def test_add_with_common_denominator():
@@ -64,6 +66,22 @@ def test_reciprocal_swaps_the_canonical_pair():
         assert f.reciprocal().reciprocal() == f
     with pytest.raises(ZeroDivisionError):
         canonicalize(Poly.zero(), x1).reciprocal()
+
+
+def test_zero_operands_give_the_zero_pair():
+    # no zero shortcut in * and /: the general cancellation must give (0, 1)
+    rnd = random.Random(13)
+    fractions = []
+    while len(fractions) < 200:
+        f = random_fraction(rnd, [1, 2, 3], nonzero=True)
+        if len(f.den.terms) > 1:
+            fractions.append(f)
+    for f in fractions:
+        for got in (ZERO * f, f * ZERO, ZERO / f):
+            assert got == ZERO
+            assert (got.num, got.den) == (Poly.zero(), ONE)
+        with pytest.raises(ZeroDivisionError):
+            f / ZERO
 
 
 def test_division_by_zero_fraction():
