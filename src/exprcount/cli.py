@@ -10,8 +10,9 @@ Subcommands::
 
 Exit codes: 0 success (and ``equiv`` equivalent), 1 ``equiv`` inequivalent
 or ``verify`` mismatch, 2 usage or expression syntax errors (including
-expressions nested deeper than ``expressions.MAX_DEPTH``) and inputs past
-the recursion limit, 3 any internal error.  All stdout output is
+expressions nested deeper than ``expressions.MAX_DEPTH``), inputs past
+the recursion limit and a stdout closed by its reader (e.g. ``| head -1``;
+then nothing goes to stderr), 3 any internal error.  All stdout output is
 deterministic; ``bench`` sends its wall-clock timings to stderr.
 """
 
@@ -243,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:  # the exact gcd recurses once per variable
         print("error: input too large for Python's recursion limit", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): not a fault.  Write nothing,
+        # as stderr may be the same pipe; the failed write emptied stdout's
+        # buffer, so the flush at exit is silent too.
         return 2
     except Exception as exc:  # noqa: BLE001 -- any other fault is internal
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -163,10 +163,6 @@ class Poly:
         return Poly(out)
 
     def __add__(self, other: "Poly") -> "Poly":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
@@ -183,8 +179,6 @@ class Poly:
         return Poly._raw({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly.zero()
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -254,8 +248,6 @@ def divexact(p: Poly, d: Poly) -> Poly:
     """
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return Poly.zero()
     if len(d.terms) == 1:
         if d == ONE:
             return p
@@ -509,18 +501,10 @@ def _prs_gcd(p: Poly, q: Poly) -> Poly:
     c = poly_gcd(cp, cq)
     a = divexact(p, cp)
     b = divexact(q, cq)
-    if max(_coeffs_in(a, v)) < max(_coeffs_in(b, v)):
-        a, b = b, a
-
-    while True:
-        if max(_coeffs_in(b, v)) == 0:
-            # b is primitive in x_v with degree zero, hence a unit.
-            g = ONE
-            break
+    # _prem returns a when a has the lower degree in x_v: the first step swaps.
+    while max(_coeffs_in(b, v)) > 0:
         r = _prem(a, b, v)
         if r.is_zero():
-            g = b
-            break
+            return c * b
         a, b = b, divexact(r, _content_in(r, v))
-
-    return c * g
+    return c  # b is primitive in x_v with degree zero, hence a unit

@@ -72,22 +72,12 @@ class Frac:
         return self + -other
 
     def __mul__(self, other: "Frac") -> "Frac":
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        return Frac._raw(
-            divexact(self.num, g1) * divexact(other.num, g2),
-            divexact(self.den, g2) * divexact(other.den, g1),
-        )
+        return Frac._raw(*_product(self.num, self.den, other.num, other.den))
 
     def __truediv__(self, other: "Frac") -> "Frac":
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero fraction")
-        g1 = poly_gcd(self.num, other.num)
-        g2 = poly_gcd(self.den, other.den)
-        return _signed(
-            divexact(self.num, g1) * divexact(other.den, g2),
-            divexact(self.den, g2) * divexact(other.num, g1),
-        )
+        return _signed(*_product(self.num, self.den, other.den, other.num))
 
     def reciprocal(self) -> "Frac":
         """1/self: the swapped pair is still coprime, so only its sign is fixed."""
@@ -142,10 +132,18 @@ def canonicalize(num: Poly, den: Poly) -> Frac:
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return ZERO
     g = poly_gcd(num, den)
     return _signed(divexact(num, g), divexact(den, g))
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """(a*c, b*d) reduced, for coprime pairs (a, b) and (c, d).
+
+    Only a and d, or c and b, can share a factor, so one gcd cancels each.
+    A quotient (a/b)/(c/d) is the product with the divisor's pair swapped.
+    """
+    g, h = poly_gcd(a, d), poly_gcd(c, b)
+    return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
 
 
 def _signed(num: Poly, den: Poly) -> Frac:

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
 import random
 import signal
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +383,22 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "evaluate", escape)
     with pytest.raises(Escape):
         main(["canon", "a"])
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_silently(unbuffered):
+    # 618,765 bytes of JSON, about ten pipe buffers: the reader closes the
+    # pipe long before the last row is written
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "exprcount.cli", "count", "--n", "300", "--format", "json"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (2, b"")
 
 
 @pytest.mark.parametrize(

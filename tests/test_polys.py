@@ -18,6 +18,12 @@ def test_zero_and_constants():
     assert Poly.const(0).is_zero()
     assert (Poly.const(3) + Poly.const(-3)).is_zero()
     assert ONE.is_constant()
+    # zero operands go through the general code of +, * and divexact
+    zero, p = Poly.zero(), x1 * x2 - x3 + ONE
+    assert zero + p == p and p + zero == p
+    assert (p * zero).is_zero() and (zero * p).is_zero()
+    assert divexact(zero, Poly.const(-2) * x1).is_zero()
+    assert divexact(zero, x1 - x2).is_zero()
     with pytest.raises(ValueError):
         Poly.variable(0)
 

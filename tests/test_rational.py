@@ -69,7 +69,8 @@ def test_reciprocal_swaps_the_canonical_pair():
 
 
 def test_zero_operands_give_the_zero_pair():
-    # no zero shortcut in * and /: the general cancellation must give (0, 1)
+    # no zero shortcut in *, / or canonicalize: the general cancellation must
+    # give (0, 1), also from a denominator that leads negative
     rnd = random.Random(13)
     fractions = []
     while len(fractions) < 200:
@@ -77,7 +78,8 @@ def test_zero_operands_give_the_zero_pair():
         if len(f.den.terms) > 1:
             fractions.append(f)
     for f in fractions:
-        for got in (ZERO * f, f * ZERO, ZERO / f):
+        assert ZERO + f == f and f + ZERO == f
+        for got in (ZERO * f, f * ZERO, ZERO / f, f - f, canonicalize(Poly.zero(), -f.den)):
             assert got == ZERO
             assert (got.num, got.den) == (Poly.zero(), ONE)
         with pytest.raises(ZeroDivisionError):
