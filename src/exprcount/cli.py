@@ -12,8 +12,9 @@ Exit codes: 0 success (and ``equiv`` equivalent), 1 ``equiv`` inequivalent
 or ``verify`` mismatch, 2 usage or expression syntax errors (including
 expressions nested deeper than ``expressions.MAX_DEPTH``), inputs past
 the recursion limit and a stdout closed by its reader (e.g. ``| head -1``;
-then nothing goes to stderr), 3 any internal error.  All stdout output is
-deterministic; ``bench`` sends its wall-clock timings to stderr.
+then nothing goes to stderr), 3 any internal error.  An error line that
+meets a closed stderr is dropped and the exit code stays.  All stdout
+output is deterministic; ``bench`` sends its wall-clock timings to stderr.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unsafe-large",
         action="store_true",
-        help="allow K beyond the enumeration cutoff (k=5 takes about a second, k=6 half a minute)",
+        help="allow K beyond the enumeration cutoff (k=5 takes under a second, k=6 about 20 s)",
     )
     # Accepted and validated but selects nothing: the enumeration is serial.
     # Kept only because perfbench's verify argv still passes --processes 1.
@@ -228,6 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(message: str) -> None:
+    """Print an error handler's message to stderr, if stderr is still open.
+
+    A reader that closed stderr loses the message, but the exit code stays
+    the handler's: an escaping BrokenPipeError would end the process with
+    exit 1, which means "inequivalent" or "mismatch".
+    """
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -237,13 +251,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ExprSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
+        _report(f"syntax error: {exc}")
         return 2
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except RecursionError:  # the exact gcd recurses once per variable
-        print("error: input too large for Python's recursion limit", file=sys.stderr)
+        _report("error: input too large for Python's recursion limit")
         return 2
     except BrokenPipeError:
         # The reader closed stdout (``| head``): not a fault.  Write nothing,
@@ -251,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         # buffer, so the flush at exit is silent too.
         return 2
     except Exception as exc:  # noqa: BLE001 -- any other fault is internal
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"internal error: {type(exc).__name__}: {exc}")
         return 3
 
 

@@ -24,6 +24,10 @@ minus at any node position but never directly on top of another one):
   duplicate-free and exactly as long as the corresponding engine
   sequences; the tests enforce both.
 
+Both routes only ever join two values on disjoint variable sets, so they
+combine them with ``rational``'s gcd-free ``disjoint_sum``,
+``disjoint_product`` and ``disjoint_quotient``.
+
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
 route, ``iter_expression_trees``, walks the raw tree space of roughly
@@ -39,7 +43,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
-from .rational import Frac
+from .rational import Frac, disjoint_product, disjoint_quotient, disjoint_sum
 
 DEFAULT_CUTOFF = 4
 
@@ -120,8 +124,14 @@ def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
         rights = _tree_reps(right, memo)
         for u in _tree_reps(left, memo):
             for w in rights:
-                q = u / w
-                for r in (u + w, u - w, u * w, q, q.reciprocal()):
+                q = disjoint_quotient(u, w)
+                for r in (
+                    disjoint_sum(u, w),
+                    disjoint_sum(u, -w),
+                    disjoint_product(u, w),
+                    q,
+                    q.reciprocal(),
+                ):
                     if r not in out:
                         out.add(r)
                         out.add(-r)
@@ -224,7 +234,7 @@ class _GrammarBuilder:
             tails = self.all_values(tail_vars)
             neg = self.negation_index(tail_vars)
             for p in self.product_values(head_vars)[::2]:
-                row = [p + a for a in tails]
+                row = [disjoint_sum(p, a) for a in tails]
                 out += row
                 out += [-row[j] for j in neg]
         return out
@@ -243,13 +253,17 @@ class _GrammarBuilder:
 
     @_memoized
     def pi2_reps(self, vars_: frozenset[int]) -> list[Frac]:
-        """Products of >= 2 sum-type factors on disjoint variables, up to sign."""
+        """Products of >= 2 sum-type factors on disjoint variables, up to sign.
+
+        s and r are positive representatives, and the leading coefficient of
+        a product's numerator is the product of theirs, so s*r is one too.
+        """
         out = []
         for head_vars, tail_vars in _splits(vars_):
             tails = self.pi1_reps(tail_vars)
             for s in self.sum_reps(head_vars):
                 for r in tails:
-                    out.append((s * r).positive_rep())
+                    out.append(disjoint_product(s, r))
         return out
 
     @_memoized
@@ -268,7 +282,7 @@ class _GrammarBuilder:
             dens = self.pi1_reps(den_vars)
             for n in self.pi1_reps(num_vars):
                 for d in dens:
-                    f = n / d
+                    f = disjoint_quotient(n, d)
                     g = f.reciprocal()
                     out += (f, -f, g, -g)
         return out

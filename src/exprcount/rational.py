@@ -9,6 +9,29 @@ enumeration code relies on for deduplication.
 
 Arithmetic is exact: operate on cross-multiplied polynomials, then divide
 out the gcd.  Fractions are immutable and safe to share.
+
+The enumeration oracle only ever joins two values on disjoint variable
+sets, and ``disjoint_sum``, ``disjoint_product`` and ``disjoint_quotient``
+do so without a gcd.  Their precondition, for x = a/b and y = c/d: x and y
+are nonzero, their variable sets are disjoint, every coefficient of a, b,
+c and d is +-1, and a shares no monomial with b, nor c with d.  The
+variables x_i/1 meet it, and so does each result, by induction:
+
+* A monomial of a*d factors uniquely into one of a and one of d, so no two
+  monomials merge in a*d, a*c or b*d.  A monomial of a*d equal to one of
+  c*b would need a and b to share a monomial, so none merges in a*d + c*b
+  either, and that sum is never zero.  Likewise no new numerator shares a
+  monomial with its denominator.  Coefficients stay +-1 and supports stay
+  disjoint.
+* The contents are therefore 1, and polynomials on disjoint variable sets
+  have no common factor of positive degree, so gcd(b, d) = gcd(a, d) =
+  gcd(c, b) = 1.  By Gauss's lemma (Z[X] factors uniquely) each prime
+  factor of b*d divides b or d; with gcd(a, b) = gcd(c, d) = 1 that makes
+  every cross-multiplied pair below coprime as it stands.
+* Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0, and
+  lc(b*c) has the sign of lc(c).
+
+The general operators give the same results and stay the reference.
 """
 
 from __future__ import annotations
@@ -144,6 +167,28 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
     """
     g, h = poly_gcd(a, d), poly_gcd(c, b)
     return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
+
+
+def disjoint_sum(x: Frac, y: Frac) -> Frac:
+    """x + y as (a*d + c*b)/(b*d), for operands as in the module docstring."""
+    return Frac._raw(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def disjoint_product(x: Frac, y: Frac) -> Frac:
+    """x * y as (a*c)/(b*d), for operands as in the module docstring."""
+    return Frac._raw(x.num * y.num, x.den * y.den)
+
+
+def disjoint_quotient(x: Frac, y: Frac) -> Frac:
+    """x / y as (a*d)/(b*c), for operands as in the module docstring.
+
+    The sign of lc(b*c) is that of lc(c) alone, so y's pair is flipped
+    before multiplying when c leads negative.
+    """
+    c, d = y.num, y.den
+    if c.leading_coeff() < 0:
+        c, d = -c, -d
+    return Frac._raw(x.num * d, x.den * c)
 
 
 def _signed(num: Poly, den: Poly) -> Frac:

@@ -401,6 +401,32 @@ def test_closed_stdout_exits_2_silently(unbuffered):
         assert (proc.wait(timeout=60), err) == (2, b"")
 
 
+class _ClosedStream(io.TextIOBase):
+    """A stream whose reader has gone: every write raises BrokenPipeError."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("canon", "a/(b-"), 2), (("canon", "a/(b-b)"), 2), (("canon", "a"), 3)],
+    ids=["syntax-error", "zero-division", "internal-error"],
+)
+def test_closed_stderr_keeps_the_documented_exit_code(capsys, monkeypatch, argv, code):
+    def fail(tree):
+        raise RuntimeError("injected fault")
+
+    if code == 3:
+        monkeypatch.setattr(cli, "evaluate", fail)
+    monkeypatch.setattr(sys, "stderr", _ClosedStream())
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [("canon", "a/(b-b)"), ("equiv", "a/(a-a)", "a")],

@@ -16,6 +16,7 @@ from exprcount import (
     tree_shapes,
 )
 from exprcount.oracle import _GrammarBuilder, _splits, _tree_values
+from exprcount.rational import disjoint_product, disjoint_quotient, disjoint_sum
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
@@ -150,12 +151,60 @@ def test_classes_closed_under_negation_and_sum_pairing():
         assert all(-f in sums for f in sums)
 
 
+def _grammar_builder(k, cutoff=None):
+    """A builder holding every list the k-variable grammar memoizes."""
+    builder = _GrammarBuilder()
+    for kind in ("sum", "product", "pi1", "pi2"):
+        enumerate_grammar(k, kind, cutoff=cutoff, builder=builder)
+    return builder
+
+
 def test_coefficient_bound_and_disjoint_supports():
-    for k in (1, 2, 3):
-        for f in enumerate_tree_classes(k).classes:
-            assert all(c in (-1, 1) for c in f.num.terms.values())
-            assert all(c in (-1, 1) for c in f.den.terms.values())
-            assert not set(f.num.terms) & set(f.den.terms)
+    # the precondition of rational's disjoint_* arithmetic, on every value
+    # both oracle routes build
+    def check(f):
+        assert all(c in (-1, 1) for c in f.num.terms.values())
+        assert all(c in (-1, 1) for c in f.den.terms.values())
+        assert not set(f.num.terms) & set(f.den.terms)
+
+    for k in (1, 2, 3, 4, 5):
+        for f in enumerate_tree_classes(k, cutoff=5).classes:
+            check(f)
+        lists = _grammar_builder(k, cutoff=5)._memo
+        methods = {method.__name__ for method, _ in lists}
+        assert methods >= {"sum_values", "product_values", "pi1_reps", "pi2_reps", "all_values"}
+        for (method, _), values in lists.items():
+            if method.__name__ != "negation_index":
+                for f in values:
+                    check(f)
+
+
+def test_disjoint_ops_equal_the_general_operators():
+    # every operand pair both routes join at k <= 4, against the gcd-based
+    # Frac operators
+    full = range(1, 5)
+    subsets = [frozenset(c) for m in range(2, 5) for c in combinations(full, m)]
+    memo: dict = {}
+    _tree_values(frozenset(full), memo)
+    builder = _grammar_builder(4)
+    for vars_ in subsets:
+        for left, right in _splits(vars_):
+            for u in memo[left]:
+                for w in memo[right]:
+                    assert disjoint_sum(u, w) == u + w
+                    assert disjoint_sum(u, -w) == u - w
+                    assert disjoint_product(u, w) == u * w
+                    assert disjoint_quotient(u, w) == u / w
+            for p in builder.product_values(left):
+                for a in builder.all_values(right):
+                    assert disjoint_sum(p, a) == p + a
+            for s in builder.sum_reps(left):
+                for r in builder.pi1_reps(right):
+                    assert disjoint_product(s, r) == s * r
+            for n in builder.pi1_reps(left):
+                for d in builder.pi1_reps(right):
+                    assert disjoint_quotient(n, d) == n / d
+        assert all(f.positive_rep() is f for f in builder.pi2_reps(vars_))
 
 
 def test_difference_and_quotient_constant_corollaries():
