@@ -32,6 +32,11 @@ from .oracle import DEFAULT_CUTOFF, enumerate_tree_classes
 
 _COLUMNS = ("S", "Q", "R", "P", "A")
 
+# verify holds every class of the largest k in memory, and A_8 is about
+# 40 times A_7: no k above this one is in reach, with or without
+# --unsafe-large.
+VERIFY_MAX_K = 7
+
 
 def _to_decimal(v: int) -> str:
     """str(v) for a nonnegative int of any length.
@@ -113,6 +118,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     k_max = args.max_k
+    if k_max > VERIFY_MAX_K:
+        print(
+            f"error: --max-k {k_max} exceeds {VERIFY_MAX_K}, the largest k verify "
+            f"enumerates (k=8 has 1.2 billion classes)",
+            file=sys.stderr,
+        )
+        return 2
     if k_max > DEFAULT_CUTOFF and not args.unsafe_large:
         print(
             f"error: --max-k {k_max} exceeds the safe cutoff {DEFAULT_CUTOFF}; "
@@ -206,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unsafe-large",
         action="store_true",
-        help="allow K beyond the enumeration cutoff (k=5 takes under a second, k=6 about 20 s)",
+        help=(
+            f"allow K beyond the enumeration cutoff, up to {VERIFY_MAX_K} (k=5 takes "
+            "under a second, k=6 about 20 s and 0.7 GB, k=7 about 26 GB)"
+        ),
     )
     # Accepted and validated but selects nothing: the enumeration is serial.
     # Kept only because perfbench's verify argv still passes --processes 1.

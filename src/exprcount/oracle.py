@@ -24,9 +24,9 @@ minus at any node position but never directly on top of another one):
   duplicate-free and exactly as long as the corresponding engine
   sequences; the tests enforce both.
 
-Both routes only ever join two values on disjoint variable sets, so they
-combine them with ``rational``'s gcd-free ``disjoint_sum``,
-``disjoint_product`` and ``disjoint_quotient``.
+Both routes only ever join two values on disjoint variable sets, with
+``rational``'s gcd-free ``disjoint_sum`` and ``disjoint_product``; u/w is
+the product of u and 1/w, and each 1/w is computed once per split.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
@@ -43,7 +43,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
-from .rational import Frac, disjoint_product, disjoint_quotient, disjoint_sum
+from .rational import Frac, disjoint_product, disjoint_sum
 
 DEFAULT_CUTOFF = 4
 
@@ -121,10 +121,10 @@ def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
     out: set[Frac] = set()
     reps: list[Frac] = []
     for left, right in _splits(vars_):
-        rights = _tree_reps(right, memo)
+        rights = [(w, w.reciprocal()) for w in _tree_reps(right, memo)]
         for u in _tree_reps(left, memo):
-            for w in rights:
-                q = disjoint_quotient(u, w)
+            for w, w_inv in rights:
+                q = disjoint_product(u, w_inv)
                 for r in (
                     disjoint_sum(u, w),
                     disjoint_sum(u, -w),
@@ -249,7 +249,7 @@ class _GrammarBuilder:
     @_memoized
     def sum_reps(self, vars_: frozenset[int]) -> list[Frac]:
         """Sum-type classes up to sign: one representative per +/- pair."""
-        return [f for f in self.sum_values(vars_) if f.positive_rep() is f]
+        return [f for f in self.sum_values(vars_) if f.num.leading_coeff() > 0]
 
     @_memoized
     def pi2_reps(self, vars_: frozenset[int]) -> list[Frac]:
@@ -279,10 +279,10 @@ class _GrammarBuilder:
             out.append(q)
             out.append(-q)
         for num_vars, den_vars in _splits(vars_):
-            dens = self.pi1_reps(den_vars)
+            inverses = [d.reciprocal() for d in self.pi1_reps(den_vars)]
             for n in self.pi1_reps(num_vars):
-                for d in dens:
-                    f = disjoint_quotient(n, d)
+                for d_inv in inverses:
+                    f = disjoint_product(n, d_inv)
                     g = f.reciprocal()
                     out += (f, -f, g, -g)
         return out

@@ -11,11 +11,11 @@ Arithmetic is exact: operate on cross-multiplied polynomials, then divide
 out the gcd.  Fractions are immutable and safe to share.
 
 The enumeration oracle only ever joins two values on disjoint variable
-sets, and ``disjoint_sum``, ``disjoint_product`` and ``disjoint_quotient``
-do so without a gcd.  Their precondition, for x = a/b and y = c/d: x and y
-are nonzero, their variable sets are disjoint, every coefficient of a, b,
-c and d is +-1, and a shares no monomial with b, nor c with d.  The
-variables x_i/1 meet it, and so does each result, by induction:
+sets, and ``disjoint_sum`` and ``disjoint_product`` do so without a gcd.
+Their precondition, for x = a/b and y = c/d: x and y are nonzero, their
+variable sets are disjoint, every coefficient of a, b, c and d is +-1, and
+a shares no monomial with b, nor c with d.  The variables x_i/1 meet it,
+and so does each result, by induction:
 
 * A monomial of a*d factors uniquely into one of a and one of d, so no two
   monomials merge in a*d, a*c or b*d.  A monomial of a*d equal to one of
@@ -28,8 +28,10 @@ variables x_i/1 meet it, and so does each result, by induction:
   gcd(c, b) = 1.  By Gauss's lemma (Z[X] factors uniquely) each prime
   factor of b*d divides b or d; with gcd(a, b) = gcd(c, d) = 1 that makes
   every cross-multiplied pair below coprime as it stands.
-* Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0, and
-  lc(b*c) has the sign of lc(c).
+* Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0.
+
+The swapped pair of a reciprocal meets the precondition too, so x/y is
+``disjoint_product(x, y.reciprocal())``.
 
 The general operators give the same results and stay the reference.
 """
@@ -119,12 +121,6 @@ class Frac:
             self.den * self.den,
         )
 
-    def positive_rep(self) -> "Frac":
-        """The member of {f, -f} whose numerator leads with a positive coefficient."""
-        if self.num.is_zero() or self.num.leading_coeff() > 0:
-            return self
-        return -self
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Frac)
@@ -177,18 +173,6 @@ def disjoint_sum(x: Frac, y: Frac) -> Frac:
 def disjoint_product(x: Frac, y: Frac) -> Frac:
     """x * y as (a*c)/(b*d), for operands as in the module docstring."""
     return Frac._raw(x.num * y.num, x.den * y.den)
-
-
-def disjoint_quotient(x: Frac, y: Frac) -> Frac:
-    """x / y as (a*d)/(b*c), for operands as in the module docstring.
-
-    The sign of lc(b*c) is that of lc(c) alone, so y's pair is flipped
-    before multiplying when c leads negative.
-    """
-    c, d = y.num, y.den
-    if c.leading_coeff() < 0:
-        c, d = -c, -d
-    return Frac._raw(x.num * d, x.den * c)
 
 
 def _signed(num: Poly, den: Poly) -> Frac:

@@ -490,6 +490,22 @@ def test_verify_past_the_cutoff_with_unsafe_large(capsys):
     ] + ["all 5 checks passed"]
 
 
+@pytest.mark.parametrize("k", [8, 10**6])
+def test_verify_refuses_unreachable_k_before_any_work(capsys, monkeypatch, k):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started work on an unreachable k")
+
+    monkeypatch.setattr(cli, "compute_table", no_work)
+    monkeypatch.setattr(cli, "enumerate_tree_classes", no_work)
+    for flags in ((), ("--unsafe-large",)):
+        code, out, err = run(capsys, "verify", "--max-k", str(k), *flags)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --max-k {k} exceeds 7, the largest k verify enumerates "
+            f"(k=8 has 1.2 billion classes)\n"
+        )
+
+
 def test_bench_reports_counts_deterministically(capsys):
     code, out, err = run(capsys, "bench", "--n", "32", "--repeat", "2")
     assert code == 0

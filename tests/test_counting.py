@@ -238,6 +238,66 @@ def test_egf_identities():
     assert [u + v for u, v in zip(one, r)] == exp_half_s
 
 
+# The same four identities modulo primes above n reach every row of a large
+# table in O(n^2) small-int operations.  A wrong row goes unnoticed only if
+# both primes divide the error it leaves in an identity.
+EGF_PRIMES = (2**61 - 1, 2**61 - 31)
+
+
+def _egf_identities_mod(rows, p):
+    """Whether each of the four EGF identities holds on rows 1..n, modulo p > n."""
+    n = len(rows)
+    inv = [0, 1]
+    for k in range(2, n + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    inv_fact = [1]
+    for k in range(1, n + 1):
+        inv_fact.append(inv_fact[-1] * inv[k] % p)
+
+    def egf(column, scale=1):
+        return [0] + [
+            getattr(row, column) * scale * inv_fact[k] % p
+            for k, row in enumerate(rows, start=1)
+        ]
+
+    def exp(f):
+        # m e_m = sum_j j f_j e_(m-j), from E' = f'E
+        jf = [j * c % p for j, c in enumerate(f)]
+        e = [1]
+        for m in range(1, n + 1):
+            e.append(sum(jf[j] * e[m - j] for j in range(1, m + 1)) % p * inv[m] % p)
+        return e
+
+    a, s, pp, r = (egf(c) for c in "ASPR")
+    one = [1] + [0] * n
+    x = [0, 1] + [0] * (n - 1)
+    exp_s, exp_half_s = exp(s), exp(egf("S", inv[2]))
+    return (
+        [(u + v) % p for u, v in zip(one, a)] == exp(pp),
+        a == [(2 * u - 2 * v) % p for u, v in zip(exp_s, exp_half_s)],
+        a == [(u + v - 2 * w) % p for u, v, w in zip(s, pp, x)],
+        [(u + v) % p for u, v in zip(one, r)] == exp_half_s,
+    )
+
+
+def test_egf_identities_mod_p_at_n_400():
+    rows = compute_table(400).rows
+    for p in EGF_PRIMES:
+        assert _egf_identities_mod(rows, p) == (True,) * 4
+    # Row 300 off by 2 in both S and A keeps A = S + P, and only that one.
+    row = rows[299]
+    bad = rows[:299] + (row._replace(S=row.S + 2, A=row.A + 2),) + rows[300:]
+    for p in EGF_PRIMES:
+        assert _egf_identities_mod(bad, p) == (False, False, True, False)
+
+
+@pytest.mark.egf_1000
+def test_egf_identities_mod_p_at_n_1000():
+    rows = compute_table(1000).rows
+    for p in EGF_PRIMES:
+        assert _egf_identities_mod(rows, p) == (True,) * 4
+
+
 def _growth_rate():
     """rho, the radius of convergence of the EGF of A.
 
