@@ -20,9 +20,10 @@ minus at any node position but never directly on top of another one):
 
 * ``enumerate_grammar`` builds sum-type / product-type / Pi1 / Pi2
   expressions structurally from their decompositions over variable
-  subsets, visiting each unordered split once.  Its output lists must be
-  duplicate-free and exactly as long as the corresponding engine
-  sequences; the tests enforce both.
+  subsets, visiting each unordered split once.  Every kind is built as
+  one member per +/- pair; a signed list is those members followed by
+  their negations.  Its output lists must be duplicate-free and exactly
+  as long as the corresponding engine sequences; the tests enforce both.
 
 Both routes only ever join two values on disjoint variable sets, with
 ``rational``'s gcd-free ``disjoint_sum`` and ``disjoint_product``; u/w is
@@ -210,54 +211,36 @@ class _GrammarBuilder:
 
     Sum-type values on V split uniquely into the product-type summand
     containing min(V) and the remaining sum; products split into the
-    numerator/denominator factor groups, counted up to sign and re-signed
-    at the end.  Each class is generated exactly once -- the uniqueness
-    theorems for these decompositions are what the duplicate-freedom
-    tests exercise.  Each list is memoized per subset; callers must not mutate it.
+    numerator/denominator factor groups, counted up to sign.  Every kind
+    is built as one member per +/- pair (the ``*_reps`` lists), and a
+    signed list is those members followed by their negations.  Each class
+    is generated exactly once -- the uniqueness theorems for these
+    decompositions are what the duplicate-freedom tests exercise.  Each
+    list is memoized per subset; callers must not mutate it.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple, list] = {}
 
     @_memoized
-    def sum_values(self, vars_: frozenset[int]) -> list[Frac]:
+    def sum_reps(self, vars_: frozenset[int]) -> list[Frac]:
         """Sums p + a, p a product-type head holding min(vars_), a any tail.
 
-        Heads come in adjacent (p, -p) pairs, so only p's row is added up:
-        -p + a = -(p + (-a)), which makes -p's row the negated p row read
-        through the tail list's negation index.
+        -(p + a) = -p + (-a), so heads from one member of each +/- pair and
+        tails from the full signed list give one member of each sum pair.
         """
         if len(vars_) == 1:
-            return self.all_values(vars_)
+            return self.all_values(vars_)[:1]
         out = []
         for head_vars, tail_vars in _splits(vars_):
             tails = self.all_values(tail_vars)
-            neg = self.negation_index(tail_vars)
-            for p in self.product_values(head_vars)[::2]:
-                row = [disjoint_sum(p, a) for a in tails]
-                out += row
-                out += [-row[j] for j in neg]
+            for p in self.product_reps(head_vars):
+                out += [disjoint_sum(p, a) for a in tails]
         return out
 
     @_memoized
-    def negation_index(self, vars_: frozenset[int]) -> list[int]:
-        """neg[i] is the position of -v in all_values(vars_), v its i-th entry."""
-        values = self.all_values(vars_)
-        position = {f: i for i, f in enumerate(values)}
-        return [position[-f] for f in values]
-
-    @_memoized
-    def sum_reps(self, vars_: frozenset[int]) -> list[Frac]:
-        """Sum-type classes up to sign: one representative per +/- pair."""
-        return [f for f in self.sum_values(vars_) if f.num.leading_coeff() > 0]
-
-    @_memoized
     def pi2_reps(self, vars_: frozenset[int]) -> list[Frac]:
-        """Products of >= 2 sum-type factors on disjoint variables, up to sign.
-
-        s and r are positive representatives, and the leading coefficient of
-        a product's numerator is the product of theirs, so s*r is one too.
-        """
+        """Products of >= 2 sum-type factors on disjoint variables, up to sign."""
         out = []
         for head_vars, tail_vars in _splits(vars_):
             tails = self.pi1_reps(tail_vars)
@@ -271,21 +254,28 @@ class _GrammarBuilder:
         return self.pi2_reps(vars_) + self.sum_reps(vars_)
 
     @_memoized
-    def product_values(self, vars_: frozenset[int]) -> list[Frac]:
+    def product_reps(self, vars_: frozenset[int]) -> list[Frac]:
+        """Pi2 products and each quotient n/d of Pi1 values with its reciprocal, up to sign."""
         if len(vars_) == 1:
-            return self.all_values(vars_)
-        out = []
-        for q in self.pi2_reps(vars_):
-            out.append(q)
-            out.append(-q)
+            return self.all_values(vars_)[:1]
+        out = list(self.pi2_reps(vars_))
         for num_vars, den_vars in _splits(vars_):
             inverses = [d.reciprocal() for d in self.pi1_reps(den_vars)]
             for n in self.pi1_reps(num_vars):
                 for d_inv in inverses:
                     f = disjoint_product(n, d_inv)
-                    g = f.reciprocal()
-                    out += (f, -f, g, -g)
+                    out += (f, f.reciprocal())
         return out
+
+    @_memoized
+    def sum_values(self, vars_: frozenset[int]) -> list[Frac]:
+        reps = self.sum_reps(vars_)
+        return reps + [-f for f in reps]
+
+    @_memoized
+    def product_values(self, vars_: frozenset[int]) -> list[Frac]:
+        reps = self.product_reps(vars_)
+        return reps + [-f for f in reps]
 
     @_memoized
     def all_values(self, vars_: frozenset[int]) -> list[Frac]:
@@ -300,11 +290,12 @@ def enumerate_grammar(
 ) -> list[Frac]:
     """Structurally generated classes on x1..xk for one grammar kind.
 
-    ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2``.  ``sum`` and
-    ``product`` lists carry full signed classes; ``pi1`` and ``pi2`` carry
-    one representative per sign pair.  List order is deterministic; each
-    quotient of a product list sits next to its reciprocal, and the sums
-    built from them follow that order.
+    ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2``.  Each kind
+    is built as one member per sign pair: ``pi1`` and ``pi2`` return those
+    members, ``sum`` and ``product`` the members followed by their
+    negations.  List order is deterministic; each quotient of a product
+    list sits next to its reciprocal, and the sums built from them follow
+    that order.
     """
     _check_k(k, cutoff)
     b = builder if builder is not None else _GrammarBuilder()

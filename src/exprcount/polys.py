@@ -499,9 +499,8 @@ def _prs_gcd(p: Poly, q: Poly) -> Poly:
     cp = _content_in(p, v)
     cq = _content_in(q, v)
     c = poly_gcd(cp, cq)
-    a = divexact(p, cp)
-    b = divexact(q, cq)
-    # _prem returns a when a has the lower degree in x_v: the first step swaps.
+    # the higher degree in x_v first, so the first step already divides
+    a, b = sorted((divexact(p, cp), divexact(q, cq)), key=lambda f: -max(_coeffs_in(f, v)))
     while max(_coeffs_in(b, v)) > 0:
         r = _prem(a, b, v)
         if r.is_zero():

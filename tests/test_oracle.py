@@ -172,11 +172,13 @@ def test_coefficient_bound_and_disjoint_supports():
             check(f)
         lists = _grammar_builder(k, cutoff=5)._memo
         methods = {method.__name__ for method, _ in lists}
-        assert methods >= {"sum_values", "product_values", "pi1_reps", "pi2_reps", "all_values"}
-        for (method, _), values in lists.items():
-            if method.__name__ != "negation_index":
-                for f in values:
-                    check(f)
+        assert methods >= {
+            "sum_reps", "sum_values", "product_reps", "product_values", "pi1_reps", "pi2_reps",
+            "all_values",
+        }
+        for values in lists.values():
+            for f in values:
+                check(f)
 
 
 def test_disjoint_ops_equal_the_general_operators():
@@ -204,7 +206,6 @@ def test_disjoint_ops_equal_the_general_operators():
             for n in builder.pi1_reps(left):
                 for d in builder.pi1_reps(right):
                     assert disjoint_product(n, d.reciprocal()) == n / d
-        assert all(f.num.leading_coeff() > 0 for f in builder.pi2_reps(vars_))
 
 
 def test_difference_and_quotient_constant_corollaries():
@@ -339,18 +340,18 @@ GRAMMAR_DIGESTS = {
     (1, "product"): "90a515e3339b3ded9a2937fbabde81b91845280a7d4d2481f6f1717d4e2582bb",
     (1, "pi1"): "18e8661d9784dba1ffc41c00cca98d99813f8917fd5f8da9a71a99a286176541",
     (1, "pi2"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    (2, "sum"): "f058a01c7af5d04a4609bf5096b4861f61bca1f3e76cce95e8e1ccdef43b639b",
-    (2, "product"): "bd5c8324814a08769a625384d434918e26f36c165be09c0835ba71ed51f36449",
+    (2, "sum"): "ba4668b05656a8a2ddbfdb62fc25d5d57818b3858a5d4504dec1e376d200f678",
+    (2, "product"): "5c6e70d286f369cfaa358f49e1df0894af8d2de046b0817b8cddf98b6a16d930",
     (2, "pi1"): "dd8a6f65cc5e2d3b492de88bf7f1a9c2ba193aa8c240f1451fe24c52d2c2e164",
     (2, "pi2"): "e0504c11be701d13e9b65fb091c6de6a1f9d90c09d01dc58026f1c85a2b67ac8",
-    (3, "sum"): "ff764b45aa3cb2d58493bcb6221abc8a988f5e27f8aa9a818bf1314804702c6e",
-    (3, "product"): "808ebef6c704680317647688452835241539a2a1a86f8c7e9af6d89938b94762",
-    (3, "pi1"): "7c62c5ff411fbf5fdda542e37889af0bb3fe9587a7467d19dbe10d355804be47",
+    (3, "sum"): "ab9759aa93bb6fb3866602aa9a1e3639bc0dfdfb376932c4f3bed8e757e8efd1",
+    (3, "product"): "9fc9ff4212fcd3a7ccb31fcac54514b3901ab748a362cc9f144e958ef05fad24",
+    (3, "pi1"): "d88abdc77d162cd820fc77048e41344bf0ed0a2eec208cc8416f824e7f94c94d",
     (3, "pi2"): "871b81563ed651cb238b38da422538a0ac44fd4ada2794806c64a9d58501fcd4",
-    (4, "sum"): "c5e9064310b3513d9e796d56352617abfef85650a0d89c11c337d1746c1cbe1a",
-    (4, "product"): "1ad92fd3fdebdf4fbc5fd81465d8453400b5a8cfc65424a48b65a343f80ecf6e",
-    (4, "pi1"): "be7bdb399cf548e4186c918ebdd2980ed2f356f67146d7a731a324958ed1eb7c",
-    (4, "pi2"): "031e8444014de6f0248bfa8df040096fcf2f3e3689822070205c75cd9b2b8856",
+    (4, "sum"): "c2e472ad25059ebb9b9656ef59bc7853949154c79b6718005952edb73d05cd97",
+    (4, "product"): "b3f6bf84751647eec995b147462734e18a5350b3912ded139f74f865d446dcfa",
+    (4, "pi1"): "ccf7ef165ee0a5046b04a6e8325178356176c870a7bf1e73194eb66b6f23984d",
+    (4, "pi2"): "5372958e724a3c6b990c7dd05abc44ca537d09d93eede1717b7d66113efdf4dd",
 }
 
 
@@ -362,16 +363,17 @@ def test_grammar_list_order_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (k, kind)
 
 
-def test_negation_index_is_an_involution_onto_negatives():
+def test_grammar_reps_hold_one_member_of_each_sign_pair():
     builder = _GrammarBuilder()
     for m in range(1, 5):
         for chosen in combinations(range(1, 5), m):
             vars_ = frozenset(chosen)
-            values = builder.all_values(vars_)
-            neg = builder.negation_index(vars_)
-            assert len(neg) == len(values)
-            assert all(neg[neg[i]] == i for i in range(len(neg)))
-            assert all(values[neg[i]] == -values[i] for i in range(len(neg)))
+            sums, products = builder.sum_reps(vars_), builder.product_reps(vars_)
+            assert builder.sum_values(vars_) == sums + [-f for f in sums]
+            assert builder.product_values(vars_) == products + [-f for f in products]
+            for reps in (sums, products, builder.pi1_reps(vars_), builder.pi2_reps(vars_)):
+                # never both f and -f, and no repeat
+                assert len(set(reps) | {-f for f in reps}) == 2 * len(reps)
 
 
 @pytest.mark.exact_k6

@@ -183,6 +183,23 @@ def test_heuristic_needs_one_point_when_a_cofactor_is_a_monomial(monkeypatch):
         assert poly_gcd(g * x1 * x1 * x3, g * x2 * Poly.variable(5)) == expected
 
 
+def test_prs_takes_as_many_contents_in_either_argument_order(monkeypatch):
+    # p has the lower degree in x3; ordering the inputs by degree up front
+    # spares the content of p, which is already primitive
+    g = x1 * x3 + x2
+    p = g * (x3 + x1)
+    q = g * (x2 * x3 * x3 + x1 + ONE)
+    calls = []
+    content_in = polys._content_in
+    monkeypatch.setattr(polys, "_content_in", lambda f, v: calls.append(f) or content_in(f, v))
+    counts = []
+    for a, b in ((p, q), (q, p)):
+        calls.clear()
+        assert normalize_sign(polys._prs_gcd(a, b)) == g
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
 def test_hash_consistent_with_eq():
     p = x1 * x2 + Poly.const(3)
     q = Poly.const(3) + x2 * x1
