@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             f"allow K beyond the enumeration cutoff, up to {VERIFY_MAX_K} (k=5 takes "
-            "under a second, k=6 about 20 s and 0.7 GB, k=7 about 26 GB)"
+            "under a second, k=6 about 21 s and 0.6 GB, k=7 about 26 GB)"
         ),
     )
     # Accepted and validated but selects nothing: the enumeration is serial.
@@ -228,12 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=_count_arg, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("equiv", help="decide whether two expressions are equivalent")
+    # argparse reads any argument that starts with '-' as an option
+    minus = "an expression that starts with '-' must follow '--', as in: %(prog)s -- "
+    p = sub.add_parser(
+        "equiv", help="decide whether two expressions are equivalent", epilog=minus + "a '-a'"
+    )
     p.add_argument("expr1")
     p.add_argument("expr2")
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("canon", help="print the canonical fraction of an expression")
+    p = sub.add_parser(
+        "canon", help="print the canonical fraction of an expression", epilog=minus + "'-a*b'"
+    )
     p.add_argument("expr")
     p.set_defaults(func=_cmd_canon)
 

@@ -20,14 +20,16 @@ minus at any node position but never directly on top of another one):
 
 * ``enumerate_grammar`` builds sum-type / product-type / Pi1 / Pi2
   expressions structurally from their decompositions over variable
-  subsets, visiting each unordered split once.  Every kind is built as
-  one member per +/- pair; a signed list is those members followed by
-  their negations.  Its output lists must be duplicate-free and exactly
-  as long as the corresponding engine sequences; the tests enforce both.
+  subsets, visiting each unordered split once.  Every kind is built and
+  memoized as one member per +/- pair; only its returned ``sum`` and
+  ``product`` lists are signed, those members and then their negations.
+  Its output lists must be duplicate-free and exactly as long as the
+  corresponding engine sequences; the tests enforce both.
 
 Both routes only ever join two values on disjoint variable sets, with
-``rational``'s gcd-free ``disjoint_sum`` and ``disjoint_product``; u/w is
-the product of u and 1/w, and each 1/w is computed once per split.
+``rational``'s gcd-free ``disjoint_sums`` (u + w and u - w from three
+products) and ``disjoint_product``; u/w is the product of u and 1/w, and
+each 1/w is computed once per split.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
@@ -44,7 +46,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
-from .rational import Frac, disjoint_product, disjoint_sum
+from .rational import Frac, disjoint_product, disjoint_sums
 
 DEFAULT_CUTOFF = 4
 
@@ -126,13 +128,7 @@ def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
         for u in _tree_reps(left, memo):
             for w, w_inv in rights:
                 q = disjoint_product(u, w_inv)
-                for r in (
-                    disjoint_sum(u, w),
-                    disjoint_sum(u, -w),
-                    disjoint_product(u, w),
-                    q,
-                    q.reciprocal(),
-                ):
+                for r in (*disjoint_sums(u, w), disjoint_product(u, w), q, q.reciprocal()):
                     if r not in out:
                         out.add(r)
                         out.add(-r)
@@ -212,11 +208,11 @@ class _GrammarBuilder:
     Sum-type values on V split uniquely into the product-type summand
     containing min(V) and the remaining sum; products split into the
     numerator/denominator factor groups, counted up to sign.  Every kind
-    is built as one member per +/- pair (the ``*_reps`` lists), and a
-    signed list is those members followed by their negations.  Each class
-    is generated exactly once -- the uniqueness theorems for these
-    decompositions are what the duplicate-freedom tests exercise.  Each
-    list is memoized per subset; callers must not mutate it.
+    is built as one member per +/- pair (the ``*_reps`` lists), and no
+    signed list is held.  Each class is generated exactly once -- the
+    uniqueness theorems for these decompositions are what the
+    duplicate-freedom tests exercise.  Each list is memoized per subset;
+    callers must not mutate it.
     """
 
     def __init__(self) -> None:
@@ -227,15 +223,22 @@ class _GrammarBuilder:
         """Sums p + a, p a product-type head holding min(vars_), a any tail.
 
         -(p + a) = -p + (-a), so heads from one member of each +/- pair and
-        tails from the full signed list give one member of each sum pair.
+        tails a = +-t over the tail members t give one member of each sum
+        pair.  For each head the tails are the sum members, then the
+        product members (a lone variable is both, so once); each tail list
+        gives every p + t, then every p - t.
         """
         if len(vars_) == 1:
-            return self.all_values(vars_)[:1]
+            return [Frac.variable(min(vars_))]
         out = []
         for head_vars, tail_vars in _splits(vars_):
-            tails = self.all_values(tail_vars)
+            tail_lists = [self.sum_reps(tail_vars)]
+            if len(tail_vars) > 1:
+                tail_lists.append(self.product_reps(tail_vars))
             for p in self.product_reps(head_vars):
-                out += [disjoint_sum(p, a) for a in tails]
+                for tails in tail_lists:
+                    pluses, minuses = zip(*(disjoint_sums(p, t) for t in tails))
+                    out += pluses + minuses
         return out
 
     @_memoized
@@ -257,7 +260,7 @@ class _GrammarBuilder:
     def product_reps(self, vars_: frozenset[int]) -> list[Frac]:
         """Pi2 products and each quotient n/d of Pi1 values with its reciprocal, up to sign."""
         if len(vars_) == 1:
-            return self.all_values(vars_)[:1]
+            return self.sum_reps(vars_)
         out = list(self.pi2_reps(vars_))
         for num_vars, den_vars in _splits(vars_):
             inverses = [d.reciprocal() for d in self.pi1_reps(den_vars)]
@@ -266,23 +269,6 @@ class _GrammarBuilder:
                     f = disjoint_product(n, d_inv)
                     out += (f, f.reciprocal())
         return out
-
-    @_memoized
-    def sum_values(self, vars_: frozenset[int]) -> list[Frac]:
-        reps = self.sum_reps(vars_)
-        return reps + [-f for f in reps]
-
-    @_memoized
-    def product_values(self, vars_: frozenset[int]) -> list[Frac]:
-        reps = self.product_reps(vars_)
-        return reps + [-f for f in reps]
-
-    @_memoized
-    def all_values(self, vars_: frozenset[int]) -> list[Frac]:
-        if len(vars_) == 1:
-            x = Frac.variable(min(vars_))
-            return [x, -x]
-        return self.sum_values(vars_) + self.product_values(vars_)
 
 
 def enumerate_grammar(
@@ -293,15 +279,16 @@ def enumerate_grammar(
     ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2``.  Each kind
     is built as one member per sign pair: ``pi1`` and ``pi2`` return those
     members, ``sum`` and ``product`` the members followed by their
-    negations.  List order is deterministic; each quotient of a product
-    list sits next to its reciprocal, and the sums built from them follow
-    that order.
+    negations, formed here and not memoized.  List order is deterministic;
+    each quotient of a product list sits next to its reciprocal, and the
+    sums built from them follow that order.
     """
     _check_k(k, cutoff)
     b = builder if builder is not None else _GrammarBuilder()
-    lists = {
-        "sum": b.sum_values, "product": b.product_values, "pi1": b.pi1_reps, "pi2": b.pi2_reps
-    }
+    lists = {"sum": b.sum_reps, "product": b.product_reps, "pi1": b.pi1_reps, "pi2": b.pi2_reps}
     if kind not in lists:
         raise ValueError(f"unknown grammar kind {kind!r}")
-    return list(lists[kind](frozenset(range(1, k + 1))))
+    values = list(lists[kind](frozenset(range(1, k + 1))))
+    if kind in ("sum", "product"):
+        values += [-f for f in values]
+    return values

@@ -11,7 +11,7 @@ Arithmetic is exact: operate on cross-multiplied polynomials, then divide
 out the gcd.  Fractions are immutable and safe to share.
 
 The enumeration oracle only ever joins two values on disjoint variable
-sets, and ``disjoint_sum`` and ``disjoint_product`` do so without a gcd.
+sets, and ``disjoint_sums`` and ``disjoint_product`` do so without a gcd.
 Their precondition, for x = a/b and y = c/d: x and y are nonzero, their
 variable sets are disjoint, every coefficient of a, b, c and d is +-1, and
 a shares no monomial with b, nor c with d.  The variables x_i/1 meet it,
@@ -22,7 +22,7 @@ and so does each result, by induction:
   c*b would need a and b to share a monomial, so none merges in a*d + c*b
   either, and that sum is never zero.  Likewise no new numerator shares a
   monomial with its denominator.  Coefficients stay +-1 and supports stay
-  disjoint.
+  disjoint.  For x - y = x + (-c)/d all of this holds with c -> -c.
 * The contents are therefore 1, and polynomials on disjoint variable sets
   have no common factor of positive degree, so gcd(b, d) = gcd(a, d) =
   gcd(c, b) = 1.  By Gauss's lemma (Z[X] factors uniquely) each prime
@@ -165,9 +165,10 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
     return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
 
 
-def disjoint_sum(x: Frac, y: Frac) -> Frac:
-    """x + y as (a*d + c*b)/(b*d), for operands as in the module docstring."""
-    return Frac._raw(x.num * y.den + y.num * x.den, x.den * y.den)
+def disjoint_sums(x: Frac, y: Frac) -> tuple[Frac, Frac]:
+    """(x + y, x - y) as (a*d +- c*b)/(b*d), for operands as in the module docstring."""
+    ad, cb, bd = x.num * y.den, y.num * x.den, x.den * y.den
+    return Frac._raw(ad + cb, bd), Frac._raw(ad - cb, bd)
 
 
 def disjoint_product(x: Frac, y: Frac) -> Frac:

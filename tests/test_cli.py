@@ -259,6 +259,17 @@ def test_canon_output(capsys):
     assert (code, out) == (0, "(x1*x2)/(x3)\n")
 
 
+def test_leading_unary_minus_needs_double_dash(capsys):
+    # the grammar takes '-' factor, but argparse reads "-a" as an option:
+    # after '--' it is an expression, without it a usage error
+    assert run(capsys, "canon", "--", "-(-(-a))")[:2] == (0, "(-x1)/(1)\n")
+    code, out, err = run(capsys, "canon", "-a")
+    assert (code, out) == (2, "")
+    assert "required: expr" in err
+    assert run(capsys, "equiv", "--", "a", "-a")[:2] == (1, "inequivalent\n")
+    assert run(capsys, "equiv", "a", "-a")[:2] == (2, "")
+
+
 # A random 6-variable input on which the primitive-PRS gcd built remainder
 # sequences with coefficients above 8,000 bits and ran for minutes.
 GCD_BLOW_UP = (

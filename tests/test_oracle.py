@@ -16,7 +16,7 @@ from exprcount import (
     tree_shapes,
 )
 from exprcount.oracle import _GrammarBuilder, _splits, _tree_values
-from exprcount.rational import disjoint_product, disjoint_sum
+from exprcount.rational import disjoint_product, disjoint_sums
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
@@ -171,11 +171,9 @@ def test_coefficient_bound_and_disjoint_supports():
         for f in enumerate_tree_classes(k, cutoff=5).classes:
             check(f)
         lists = _grammar_builder(k, cutoff=5)._memo
+        # one member per sign pair only: a signed list in the memo fails here
         methods = {method.__name__ for method, _ in lists}
-        assert methods >= {
-            "sum_reps", "sum_values", "product_reps", "product_values", "pi1_reps", "pi2_reps",
-            "all_values",
-        }
+        assert methods == {"sum_reps", "product_reps", "pi1_reps", "pi2_reps"}
         for values in lists.values():
             for f in values:
                 check(f)
@@ -193,13 +191,12 @@ def test_disjoint_ops_equal_the_general_operators():
         for left, right in _splits(vars_):
             for u in memo[left]:
                 for w in memo[right]:
-                    assert disjoint_sum(u, w) == u + w
-                    assert disjoint_sum(u, -w) == u - w
+                    assert disjoint_sums(u, w) == (u + w, u - w)
                     assert disjoint_product(u, w) == u * w
                     assert disjoint_product(u, w.reciprocal()) == u / w
-            for p in builder.product_values(left):
-                for a in builder.all_values(right):
-                    assert disjoint_sum(p, a) == p + a
+            for p in builder.product_reps(left):
+                for t in builder.sum_reps(right) + builder.product_reps(right):
+                    assert disjoint_sums(p, t) == (p + t, p - t)
             for s in builder.sum_reps(left):
                 for r in builder.pi1_reps(right):
                     assert disjoint_product(s, r) == s * r
@@ -236,12 +233,17 @@ def _witness_sign(list1, list2):
     )
 
 
+def _signed(reps):
+    """A reps list followed by its negations, as the grammar's signed lists."""
+    return reps + [-f for f in reps]
+
+
 def test_sum_decomposition_uniqueness_theorem():
     # sums of product-type operands over disjoint variable blocks are equal
     # iff the summands match pairwise under some permutation
     builder = _GrammarBuilder()
     blocks = [frozenset({1}), frozenset({2, 3}), frozenset({4})]
-    pools = [builder.product_values(b) for b in blocks]
+    pools = [_signed(builder.product_reps(b)) for b in blocks]
     rnd = random.Random(321)
     for _ in range(150):
         list1 = [rnd.choice(pool) for pool in pools]
@@ -261,8 +263,8 @@ def test_product_decomposition_uniqueness_theorem():
     builder = _GrammarBuilder()
     num_blocks = [frozenset({1}), frozenset({2, 3})]
     den_blocks = [frozenset({4, 5})]
-    num_pools = [builder.sum_values(b) for b in num_blocks]
-    den_pools = [builder.sum_values(b) for b in den_blocks]
+    num_pools = [_signed(builder.sum_reps(b)) for b in num_blocks]
+    den_pools = [_signed(builder.sum_reps(b)) for b in den_blocks]
     rnd = random.Random(654)
     for _ in range(150):
         nums1 = [rnd.choice(pool) for pool in num_pools]
@@ -369,11 +371,15 @@ def test_grammar_reps_hold_one_member_of_each_sign_pair():
         for chosen in combinations(range(1, 5), m):
             vars_ = frozenset(chosen)
             sums, products = builder.sum_reps(vars_), builder.product_reps(vars_)
-            assert builder.sum_values(vars_) == sums + [-f for f in sums]
-            assert builder.product_values(vars_) == products + [-f for f in products]
             for reps in (sums, products, builder.pi1_reps(vars_), builder.pi2_reps(vars_)):
                 # never both f and -f, and no repeat
                 assert len(set(reps) | {-f for f in reps}) == 2 * len(reps)
+    # the signed lists exist only at the boundary: reps, then their negations
+    for k in range(1, 5):
+        full = frozenset(range(1, k + 1))
+        sums, products = builder.sum_reps(full), builder.product_reps(full)
+        assert enumerate_grammar(k, "sum", builder=builder) == _signed(sums)
+        assert enumerate_grammar(k, "product", builder=builder) == _signed(products)
 
 
 @pytest.mark.exact_k6
