@@ -26,11 +26,9 @@ import time
 from itertools import chain
 from typing import Iterator, TextIO
 
-from .counting import OpCounter, SequenceTable, compute_table
+from .counting import OpCounter, SequenceRow, SequenceTable, compute_table
 from .expressions import ExprSyntaxError, NameMap, evaluate, parse
 from .oracle import DEFAULT_CUTOFF, enumerate_tree_classes
-
-_COLUMNS = ("S", "Q", "R", "P", "A")
 
 # verify holds every class of the largest k in memory, and A_8 is about
 # 40 times A_7: no k above this one is in reach, with or without
@@ -71,8 +69,8 @@ def table_to_json(table: SequenceTable, out: TextIO) -> None:
     """
     out.write(f'{{\n  "n": {table.n},\n  "rows": [')
     sep = "\n"
-    for k, *values in _decimal_rows(table, _COLUMNS):
-        fields = "".join(f',\n      "{c}": "{v}"' for c, v in zip(_COLUMNS, values))
+    for k, *values in _decimal_rows(table, SequenceRow._fields):
+        fields = "".join(f',\n      "{c}": "{v}"' for c, v in zip(SequenceRow._fields, values))
         out.write(f'{sep}    {{\n      "k": {k}{fields}\n    }}')
         sep = ",\n"
     out.write("\n  ]\n}\n")
@@ -85,7 +83,7 @@ def table_to_csv(table: SequenceTable, out: TextIO, all_sequences: bool = True) 
     quoting; joining them also spares the 128 KB record buffer that a
     ``csv.writer`` allocates for even a one-cell row.
     """
-    cols = _COLUMNS if all_sequences else ("A",)
+    cols = SequenceRow._fields if all_sequences else ("A",)
     for cells in chain([("k",) + cols], _decimal_rows(table, cols)):
         out.write(",".join(cells) + "\n")
 
@@ -96,7 +94,7 @@ def _format_table(table: SequenceTable, out: TextIO, all_sequences: bool) -> Non
     Counts are nonnegative, so a column's widest decimal is that of its
     largest value: one conversion per column fixes every width up front.
     """
-    cols = _COLUMNS if all_sequences else ("A",)
+    cols = SequenceRow._fields if all_sequences else ("A",)
     widths = [max(len("k"), len(str(table.n)))] + [
         max(len(c), len(_to_decimal(max(getattr(row, c) for row in table.rows))))
         for c in cols

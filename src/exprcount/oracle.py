@@ -26,10 +26,33 @@ minus at any node position but never directly on top of another one):
   Its output lists must be duplicate-free and exactly as long as the
   corresponding engine sequences; the tests enforce both.
 
-Both routes only ever join two values on disjoint variable sets, with
-``rational``'s gcd-free ``disjoint_sums`` (u + w and u - w from three
-products) and ``disjoint_product``; u/w is the product of u and 1/w, and
-each 1/w is computed once per split.
+Both routes only ever join two values on disjoint variable sets, and
+``_disjoint_sums`` (u + w and u - w from three products) and
+``_disjoint_product`` do so without a gcd; u/w is the product of u and
+1/w, and each 1/w is computed once per split.  Their precondition, for
+x = a/b and y = c/d: x and y are nonzero, their variable sets are
+disjoint, every coefficient of a, b, c and d is +-1, and a shares no
+monomial with b, nor c with d.  The variables x_i/1 meet it, and so does
+each result, by induction:
+
+* A monomial of a*d factors uniquely into one of a and one of d, so no two
+  monomials merge in a*d, a*c or b*d.  A monomial of a*d equal to one of
+  c*b would need a and b to share a monomial, so none merges in a*d + c*b
+  either, and that sum is never zero.  Likewise no new numerator shares a
+  monomial with its denominator.  Coefficients stay +-1 and supports stay
+  disjoint.  For x - y = x + (-c)/d all of this holds with c -> -c.
+* The contents are therefore 1, and polynomials on disjoint variable sets
+  have no common factor of positive degree, so gcd(b, d) = gcd(a, d) =
+  gcd(c, b) = 1.  By Gauss's lemma (Z[X] factors uniquely) each prime
+  factor of b*d divides b or d; with gcd(a, b) = gcd(c, d) = 1 that makes
+  every cross-multiplied pair coprime as it stands.
+* Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0.
+
+The swapped pair of a reciprocal meets the precondition too.
+``_disjoint_sums`` checks the proof's one non-trivial step, that no
+monomial of a*d meets one of c*b, and raises ArithmeticError instead of
+returning a wrong fraction.  The general ``Frac`` operators give the same
+results and stay the reference.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
@@ -46,7 +69,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
-from .rational import Frac, disjoint_product, disjoint_sums
+from .rational import Frac
 
 DEFAULT_CUTOFF = 4
 
@@ -107,6 +130,20 @@ def _splits(vars_: frozenset[int]) -> list[Split]:
     return out
 
 
+def _disjoint_sums(x: Frac, y: Frac) -> tuple[Frac, Frac]:
+    """(x + y, x - y) as (a*d +- c*b)/(b*d), for operands as in the module docstring."""
+    ad, cb, bd = x.num * y.den, y.num * x.den, x.den * y.den
+    total = ad + cb
+    if len(total.terms) < len(ad.terms) + len(cb.terms):
+        raise ArithmeticError(f"a*d and c*b share a monomial: {x} and {y}")
+    return Frac._raw(total, bd), Frac._raw(ad - cb, bd)
+
+
+def _disjoint_product(x: Frac, y: Frac) -> Frac:
+    """x * y as (a*c)/(b*d), for operands as in the module docstring."""
+    return Frac._raw(x.num * y.num, x.den * y.den)
+
+
 def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
     """Values of every tree that holds each variable of vars_ in one leaf.
 
@@ -127,8 +164,8 @@ def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
         rights = [(w, w.reciprocal()) for w in _tree_reps(right, memo)]
         for u in _tree_reps(left, memo):
             for w, w_inv in rights:
-                q = disjoint_product(u, w_inv)
-                for r in (*disjoint_sums(u, w), disjoint_product(u, w), q, q.reciprocal()):
+                q = _disjoint_product(u, w_inv)
+                for r in (*_disjoint_sums(u, w), _disjoint_product(u, w), q, q.reciprocal()):
                     if r not in out:
                         out.add(r)
                         out.add(-r)
@@ -237,7 +274,7 @@ class _GrammarBuilder:
                 tail_lists.append(self.product_reps(tail_vars))
             for p in self.product_reps(head_vars):
                 for tails in tail_lists:
-                    pluses, minuses = zip(*(disjoint_sums(p, t) for t in tails))
+                    pluses, minuses = zip(*(_disjoint_sums(p, t) for t in tails))
                     out += pluses + minuses
         return out
 
@@ -249,7 +286,7 @@ class _GrammarBuilder:
             tails = self.pi1_reps(tail_vars)
             for s in self.sum_reps(head_vars):
                 for r in tails:
-                    out.append(disjoint_product(s, r))
+                    out.append(_disjoint_product(s, r))
         return out
 
     @_memoized
@@ -266,7 +303,7 @@ class _GrammarBuilder:
             inverses = [d.reciprocal() for d in self.pi1_reps(den_vars)]
             for n in self.pi1_reps(num_vars):
                 for d_inv in inverses:
-                    f = disjoint_product(n, d_inv)
+                    f = _disjoint_product(n, d_inv)
                     out += (f, f.reciprocal())
         return out
 

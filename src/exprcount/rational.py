@@ -9,31 +9,6 @@ enumeration code relies on for deduplication.
 
 Arithmetic is exact: operate on cross-multiplied polynomials, then divide
 out the gcd.  Fractions are immutable and safe to share.
-
-The enumeration oracle only ever joins two values on disjoint variable
-sets, and ``disjoint_sums`` and ``disjoint_product`` do so without a gcd.
-Their precondition, for x = a/b and y = c/d: x and y are nonzero, their
-variable sets are disjoint, every coefficient of a, b, c and d is +-1, and
-a shares no monomial with b, nor c with d.  The variables x_i/1 meet it,
-and so does each result, by induction:
-
-* A monomial of a*d factors uniquely into one of a and one of d, so no two
-  monomials merge in a*d, a*c or b*d.  A monomial of a*d equal to one of
-  c*b would need a and b to share a monomial, so none merges in a*d + c*b
-  either, and that sum is never zero.  Likewise no new numerator shares a
-  monomial with its denominator.  Coefficients stay +-1 and supports stay
-  disjoint.  For x - y = x + (-c)/d all of this holds with c -> -c.
-* The contents are therefore 1, and polynomials on disjoint variable sets
-  have no common factor of positive degree, so gcd(b, d) = gcd(a, d) =
-  gcd(c, b) = 1.  By Gauss's lemma (Z[X] factors uniquely) each prime
-  factor of b*d divides b or d; with gcd(a, b) = gcd(c, d) = 1 that makes
-  every cross-multiplied pair below coprime as it stands.
-* Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0.
-
-The swapped pair of a reciprocal meets the precondition too, so x/y is
-``disjoint_product(x, y.reciprocal())``.
-
-The general operators give the same results and stay the reference.
 """
 
 from __future__ import annotations
@@ -77,19 +52,18 @@ class Frac:
         # Classical cross-cancelling sum: with gcd(a,b) = gcd(c,d) = 1 and
         # g = gcd(b,d), h = gcd(a(d/g) + c(b/g), g), the pair
         # (t/h, (b/g)(d/h)) is already coprime, so no further gcd is needed.
+        # A zero sum needs no shortcut: canonical pairs are unique, so it
+        # forces d = b and c = -a.  Then b = d = 1 when g = 1; else g = b
+        # (both lead positive), b/g = d/g = 1 and h = gcd(0, g) = g.  Either
+        # way the pair is (0, 1).
         a, b = self.num, self.den
         c, d = other.num, other.den
         g = poly_gcd(b, d)
         if g == ONE:
-            t = a * d + c * b
-            if t.is_zero():
-                return ZERO
-            return Frac._raw(t, b * d)
+            return Frac._raw(a * d + c * b, b * d)
         b0 = divexact(b, g)
         d0 = divexact(d, g)
         t = a * d0 + c * b0
-        if t.is_zero():
-            return ZERO
         h = poly_gcd(t, g)
         return Frac._raw(divexact(t, h), b0 * divexact(d, h))
 
@@ -165,22 +139,9 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
     return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
 
 
-def disjoint_sums(x: Frac, y: Frac) -> tuple[Frac, Frac]:
-    """(x + y, x - y) as (a*d +- c*b)/(b*d), for operands as in the module docstring."""
-    ad, cb, bd = x.num * y.den, y.num * x.den, x.den * y.den
-    return Frac._raw(ad + cb, bd), Frac._raw(ad - cb, bd)
-
-
-def disjoint_product(x: Frac, y: Frac) -> Frac:
-    """x * y as (a*c)/(b*d), for operands as in the module docstring."""
-    return Frac._raw(x.num * y.num, x.den * y.den)
-
-
 def _signed(num: Poly, den: Poly) -> Frac:
     """The Frac of a coprime pair, both signs flipped if den leads negative."""
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return Frac._raw(num, den)
 
-
-ZERO = Frac._raw(Poly.zero(), ONE)

@@ -15,8 +15,13 @@ from exprcount import (
     iter_expression_trees,
     tree_shapes,
 )
-from exprcount.oracle import _GrammarBuilder, _splits, _tree_values
-from exprcount.rational import disjoint_product, disjoint_sums
+from exprcount.oracle import (
+    _disjoint_product,
+    _disjoint_sums,
+    _GrammarBuilder,
+    _splits,
+    _tree_values,
+)
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
@@ -160,7 +165,7 @@ def _grammar_builder(k, cutoff=None):
 
 
 def test_coefficient_bound_and_disjoint_supports():
-    # the precondition of rational's disjoint_* arithmetic, on every value
+    # the precondition of the oracle's _disjoint_* arithmetic, on every value
     # both oracle routes build
     def check(f):
         assert all(c in (-1, 1) for c in f.num.terms.values())
@@ -191,18 +196,24 @@ def test_disjoint_ops_equal_the_general_operators():
         for left, right in _splits(vars_):
             for u in memo[left]:
                 for w in memo[right]:
-                    assert disjoint_sums(u, w) == (u + w, u - w)
-                    assert disjoint_product(u, w) == u * w
-                    assert disjoint_product(u, w.reciprocal()) == u / w
+                    assert _disjoint_sums(u, w) == (u + w, u - w)
+                    assert _disjoint_product(u, w) == u * w
+                    assert _disjoint_product(u, w.reciprocal()) == u / w
             for p in builder.product_reps(left):
                 for t in builder.sum_reps(right) + builder.product_reps(right):
-                    assert disjoint_sums(p, t) == (p + t, p - t)
+                    assert _disjoint_sums(p, t) == (p + t, p - t)
             for s in builder.sum_reps(left):
                 for r in builder.pi1_reps(right):
-                    assert disjoint_product(s, r) == s * r
+                    assert _disjoint_product(s, r) == s * r
             for n in builder.pi1_reps(left):
                 for d in builder.pi1_reps(right):
-                    assert disjoint_product(n, d.reciprocal()) == n / d
+                    assert _disjoint_product(n, d.reciprocal()) == n / d
+
+
+def test_disjoint_sums_refuses_operands_that_share_a_monomial():
+    # x1 + x1 merges x1 with itself, outside the join rule's precondition
+    with pytest.raises(ArithmeticError):
+        _disjoint_sums(X[1], X[1])
 
 
 def test_difference_and_quotient_constant_corollaries():

@@ -6,7 +6,6 @@ import pytest
 
 from exprcount import Frac, Poly, canonicalize
 from exprcount.polys import ONE
-from exprcount.rational import ZERO
 from genlib import random_fraction
 
 x1 = Poly.variable(1)
@@ -15,6 +14,7 @@ x3 = Poly.variable(3)
 f1 = Frac.variable(1)
 f2 = Frac.variable(2)
 f3 = Frac.variable(3)
+ZERO = Frac.const(0)
 
 
 def test_canonicalize_cancels_common_factor():
@@ -69,8 +69,8 @@ def test_reciprocal_swaps_the_canonical_pair():
 
 
 def test_zero_operands_give_the_zero_pair():
-    # no zero shortcut in *, / or canonicalize: the general cancellation must
-    # give (0, 1), also from a denominator that leads negative
+    # no zero shortcut in +, *, / or canonicalize: the general cancellation
+    # must give (0, 1), also from a denominator that leads negative
     rnd = random.Random(13)
     fractions = []
     while len(fractions) < 200:
@@ -84,6 +84,11 @@ def test_zero_operands_give_the_zero_pair():
             assert (got.num, got.den) == (Poly.zero(), ONE)
         with pytest.raises(ZeroDivisionError):
             f / ZERO
+    # equal denominators of 1 take the coprime branch of +, which the
+    # multi-term denominators above never reach
+    poly = canonicalize(x1 * x2 - x3, ONE)
+    for got in (f1 - f1, poly - poly):
+        assert (got.num, got.den) == (Poly.zero(), ONE)
 
 
 def test_division_by_zero_fraction():
