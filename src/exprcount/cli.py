@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             f"allow K beyond the enumeration cutoff, up to {VERIFY_MAX_K} (k=5 takes "
-            "under a second, k=6 about 21 s and 0.6 GB, k=7 about 26 GB)"
+            "under a second, k=6 about 20 s and 0.5 GB, k=7 about 21 GB)"
         ),
     )
     # Accepted and validated but selects nothing: the enumeration is serial.

@@ -48,7 +48,10 @@ each result, by induction:
   every cross-multiplied pair coprime as it stands.
 * Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0.
 
-The swapped pair of a reciprocal meets the precondition too.
+The swapped pair of a reciprocal meets the precondition too.  Neither
+helper checks that the variable sets are disjoint: each pair it joins comes
+from the two sides of one ``_splits`` split, which
+``test_splits_are_each_unordered_split_once`` pins as disjoint.
 ``_disjoint_sums`` checks the proof's one non-trivial step, that no
 monomial of a*d meets one of c*b, and raises ArithmeticError instead of
 returning a wrong fraction.  The general ``Frac`` operators give the same

@@ -88,25 +88,19 @@ def _grlex_desc_key(m: Monomial) -> tuple:
 class Poly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
         self.terms: dict[Monomial, int] = (
             {m: c for m, c in terms.items() if c != 0} if terms else {}
         )
-        self._hash: int | None = None
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "Poly":
         # Trusted constructor: terms must already be zero-free.
         p = cls.__new__(cls)
         p.terms = terms
-        p._hash = None
         return p
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls._raw({})
 
     @classmethod
     def const(cls, c: int) -> "Poly":
@@ -194,9 +188,7 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -330,7 +322,7 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
 
 def _content_in(p: Poly, v: int) -> Poly:
     """Gcd of the coefficients of p viewed as univariate in x_v."""
-    g = Poly.zero()
+    g = Poly.const(0)
     for coeff_terms in _coeffs_in(p, v).values():
         g = poly_gcd(g, Poly._raw(coeff_terms))
         if g == ONE:

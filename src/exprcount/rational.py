@@ -22,7 +22,7 @@ class Frac:
     Build one from two polynomials with ``canonicalize(num, den)``.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "Frac":
@@ -30,7 +30,6 @@ class Frac:
         f = cls.__new__(cls)
         f.num = num
         f.den = den
-        f._hash = None
         return f
 
     @classmethod
@@ -103,9 +102,7 @@ class Frac:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def render(self) -> str:
         """Deterministic text form, e.g. ``(x1*x2 + x3)/(x2)``."""

@@ -22,6 +22,7 @@ from exprcount import (  # noqa: E402
     render,
 )
 from exprcount.cli import main  # noqa: E402
+from test_expressions import _has_sub  # noqa: E402
 
 trees = st.recursive(
     st.builds(Leaf, st.integers(1, 6)),
@@ -47,14 +48,6 @@ def _equiv(lhs, rhs):
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = main(["equiv", "--", render(lhs), render(rhs)])
     return code, out.getvalue()
-
-
-def _has_sub(tree):
-    if isinstance(tree, Leaf):
-        return False
-    if isinstance(tree, Neg):
-        return _has_sub(tree.child)
-    return isinstance(tree, Sub) or _has_sub(tree.left) or _has_sub(tree.right)
 
 
 @fixed
