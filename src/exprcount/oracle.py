@@ -26,36 +26,42 @@ minus at any node position but never directly on top of another one):
   Its output lists must be duplicate-free and exactly as long as the
   corresponding engine sequences; the tests enforce both.
 
-Both routes only ever join two values on disjoint variable sets, and
-``_disjoint_sums`` (u + w and u - w from three products) and
-``_disjoint_product`` do so without a gcd; u/w is the product of u and
-1/w, and each 1/w is computed once per split.  Their precondition, for
-x = a/b and y = c/d: x and y are nonzero, their variable sets are
-disjoint, every coefficient of a, b, c and d is +-1, and a shares no
-monomial with b, nor c with d.  The variables x_i/1 meet it, and so does
-each result, by induction:
+Both routes compute on one exact encoding, private to this module, and
+build ``Frac`` values only on return.  A monomial is a variable set held
+as a mask m (bit i - 1 for x_i); a polynomial with coefficients +-1 is
+two ints, P with bit m set where m has coefficient +1 and N where it has
+-1; a value a/b is (aP, aN, bP, bN), and x_i is (2**2**(i-1), 0, 1, 0).
+Both routes only ever join x = a/b and y = c/d on disjoint variable
+sets, and the encoding is exact on every value they build: x and y are
+nonzero, every monomial of a, b, c and d is multilinear with coefficient
++-1, and a shares no monomial with b, nor c with d.  The variables meet
+this, and so does each result, by induction:
 
-* A monomial of a*d factors uniquely into one of a and one of d, so no two
-  monomials merge in a*d, a*c or b*d.  A monomial of a*d equal to one of
-  c*b would need a and b to share a monomial, so none merges in a*d + c*b
-  either, and that sum is never zero.  Likewise no new numerator shares a
-  monomial with its denominator.  Coefficients stay +-1 and supports stay
-  disjoint.  For x - y = x + (-c)/d all of this holds with c -> -c.
+* Masks m1 and m2 on disjoint variable sets give m1 | m2 = m1 + m2,
+  distinct for distinct pairs, so XP * YP adds 2**(m1 | m2) over its
+  pairs with no carry, and the polynomial product is
+  (XP*YP | XN*YN, XP*YN | XN*YP).  So u*w is (a*c)/(b*d).
+* A monomial of a*d equal to one of c*b would need a and b to share a
+  monomial, so a*d + c*b is (adP | cbP, adN | cbN), never zero, and u - w
+  swaps cbP and cbN.  ``_sums`` checks this step with one AND and raises
+  ArithmeticError instead of returning a wrong value.  Likewise no new
+  numerator shares a monomial with its denominator.
 * The contents are therefore 1, and polynomials on disjoint variable sets
   have no common factor of positive degree, so gcd(b, d) = gcd(a, d) =
   gcd(c, b) = 1.  By Gauss's lemma (Z[X] factors uniquely) each prime
   factor of b*d divides b or d; with gcd(a, b) = gcd(c, d) = 1 that makes
-  every cross-multiplied pair coprime as it stands.
-* Graded-lex leading coefficients multiply: lc(b*d) = lc(b)*lc(d) > 0.
+  every cross-multiplied pair coprime as it stands, and a reciprocal is
+  the swapped pair.
 
-The swapped pair of a reciprocal meets the precondition too.  Neither
-helper checks that the variable sets are disjoint: each pair it joins comes
-from the two sides of one ``_splits`` split, which
-``test_splits_are_each_unordered_split_once`` pins as disjoint.
-``_disjoint_sums`` checks the proof's one non-trivial step, that no
-monomial of a*d meets one of c*b, and raises ArithmeticError instead of
-returning a wrong fraction.  The general ``Frac`` operators give the same
-results and stay the reference.
+As the units of Z[X] are +-1, the four tuples (+-n)/(+-d) are then all
+the encodings of the pair +-n/d.  ``_key`` packs the one whose numerator
+and denominator each have their highest set bit in P (-n/-d = n/d), one
+int comparison each since P and N share no bit.  No helper checks that
+the variable sets are disjoint: each pair it joins comes from one
+``_splits`` split, which ``test_splits_are_each_unordered_split_once``
+pins as disjoint.  The conversion to ``Frac`` signs each pair by
+``rational``'s graded-lex rule; the general ``Frac`` operators give the
+same values and stay the reference.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
@@ -67,12 +73,13 @@ Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cache, lru_cache, wraps
 from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
-from .rational import Frac
+from .polys import Poly
+from .rational import Frac, _signed
 
 DEFAULT_CUTOFF = 4
 
@@ -81,6 +88,8 @@ Shape = None | tuple
 
 # A split of a variable set into nonempty parts (left holding the minimum).
 Split = tuple[frozenset[int], frozenset[int]]
+
+Value = tuple[int, int, int, int]  # (nP, nN, dP, dN), as in the module docstring
 
 
 @dataclass(frozen=True)
@@ -133,55 +142,84 @@ def _splits(vars_: frozenset[int]) -> list[Split]:
     return out
 
 
-def _disjoint_sums(x: Frac, y: Frac) -> tuple[Frac, Frac]:
+def _leaf(v: int) -> Value:
+    return (1 << (1 << (v - 1)), 0, 1, 0)
+
+
+def _sums(x: Value, y: Value) -> tuple[Value, Value]:
     """(x + y, x - y) as (a*d +- c*b)/(b*d), for operands as in the module docstring."""
-    ad, cb, bd = x.num * y.den, y.num * x.den, x.den * y.den
-    total = ad + cb
-    if len(total.terms) < len(ad.terms) + len(cb.terms):
+    aP, aN, bP, bN = x
+    cP, cN, dP, dN = y
+    adP, adN = aP * dP | aN * dN, aP * dN | aN * dP
+    cbP, cbN = cP * bP | cN * bN, cP * bN | cN * bP
+    if (adP | adN) & (cbP | cbN):
         raise ArithmeticError(f"a*d and c*b share a monomial: {x} and {y}")
-    return Frac._raw(total, bd), Frac._raw(ad - cb, bd)
+    bdP, bdN = bP * dP | bN * dN, bP * dN | bN * dP
+    return (adP | cbP, adN | cbN, bdP, bdN), (adP | cbN, adN | cbP, bdP, bdN)
 
 
-def _disjoint_product(x: Frac, y: Frac) -> Frac:
+def _product(x: Value, y: Value) -> Value:
     """x * y as (a*c)/(b*d), for operands as in the module docstring."""
-    return Frac._raw(x.num * y.num, x.den * y.den)
+    aP, aN, bP, bN = x
+    cP, cN, dP, dN = y
+    return aP * cP | aN * cN, aP * cN | aN * cP, bP * dP | bN * dN, bP * dN | bN * dP
 
 
-def _tree_values(vars_: frozenset[int], memo: dict) -> set[Frac]:
-    """Values of every tree that holds each variable of vars_ in one leaf.
+def _reciprocal(x: Value) -> Value:
+    return x[2], x[3], x[0], x[1]
+
+
+def _key(x: Value, width: int) -> int:
+    """One int per +/- pair of values whose monomial masks are all below width."""
+    nP, nN, dP, dN = x
+    if nN > nP:  # the member of the pair whose numerator's highest mask is +1
+        nP, nN = nN, nP
+    if dN > dP:  # -n/-d = n/d, with the denominator's highest mask +1
+        dP, dN = dN, dP
+    return nP | nN << width | dP << 2 * width | dN << 3 * width
+
+
+def _converter(k: int):
+    """Value -> Frac on x1..xk: one monomial tuple per mask, each distinct Poly built once."""
+    table = [tuple((i + 1, 1) for i in range(k) if m >> i & 1) for m in range(1 << k)]
+
+    @cache
+    def poly(P: int, N: int) -> Poly:
+        terms = {m: 1 if P >> i & 1 else -1 for i, m in enumerate(table) if (P | N) >> i & 1}
+        return Poly._raw(terms)
+
+    def to_frac(x: Value) -> Frac:
+        return _signed(poly(x[0], x[1]), poly(x[2], x[3]))
+
+    return to_frac
+
+
+def _tree_reps(vars_: frozenset[int], memo: dict) -> list[Value]:
+    """One value per +/- pair of the values of every tree on vars_.
 
     The value sets are closed under negation, so the walk combines one
     representative u per +/- pair on the left with one w on the right:
     +-(u + w), +-(u - w), +-u*w, +-q and +-1/q, q = u/w, are all the values
     the signed pairs give, and the mirrored split adds only the reciprocals.
-    memo[vars_] keeps the first member reached of each pair; the full
-    signed set is only what this call returns.
+    memo[vars_] keeps the first member reached of each pair, computed once
+    per subset.
     """
-    if len(vars_) == 1:
-        x = Frac.variable(min(vars_))
-        memo[vars_] = [x]
-        return {x, -x}
-    out: set[Frac] = set()
-    reps: list[Frac] = []
-    for left, right in _splits(vars_):
-        rights = [(w, w.reciprocal()) for w in _tree_reps(right, memo)]
+    if vars_ in memo:
+        return memo[vars_]
+    reps = [_leaf(min(vars_))] if len(vars_) == 1 else []
+    width, seen = 1 << max(vars_), set()
+    for left, right in _splits(vars_):  # none for a single variable
+        rights = [(w, _reciprocal(w)) for w in _tree_reps(right, memo)]
         for u in _tree_reps(left, memo):
             for w, w_inv in rights:
-                q = _disjoint_product(u, w_inv)
-                for r in (*_disjoint_sums(u, w), _disjoint_product(u, w), q, q.reciprocal()):
-                    if r not in out:
-                        out.add(r)
-                        out.add(-r)
+                q = _product(u, w_inv)
+                for r in (*_sums(u, w), _product(u, w), q, _reciprocal(q)):
+                    n = len(seen)
+                    seen.add(_key(r, width))
+                    if len(seen) > n:
                         reps.append(r)
     memo[vars_] = reps
-    return out
-
-
-def _tree_reps(vars_: frozenset[int], memo: dict) -> list[Frac]:
-    """One value per +/- pair of the values on vars_, computed once per subset."""
-    if vars_ not in memo:
-        _tree_values(vars_, memo)
-    return memo[vars_]
+    return reps
 
 
 def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
@@ -194,7 +232,15 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     reciprocal, each with its negation), memoized by variable subset.
     """
     _check_k(k, cutoff)
-    return ClassSet(frozenset(_tree_values(frozenset(range(1, k + 1)), {})))
+    to_frac = _converter(k)
+    reps = [to_frac(r) for r in _tree_reps(frozenset(range(1, k + 1)), {})]
+    return ClassSet(frozenset(reps + [-f for f in reps]))
+
+
+def count_tree_classes(k: int, cutoff: int | None = None) -> int:
+    """len(enumerate_tree_classes(k, cutoff)), without building a Frac."""
+    _check_k(k, cutoff)
+    return 2 * len(_tree_reps(frozenset(range(1, k + 1)), {}))
 
 
 def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTree]:
@@ -259,7 +305,7 @@ class _GrammarBuilder:
         self._memo: dict[tuple, list] = {}
 
     @_memoized
-    def sum_reps(self, vars_: frozenset[int]) -> list[Frac]:
+    def sum_reps(self, vars_: frozenset[int]) -> list[Value]:
         """Sums p + a, p a product-type head holding min(vars_), a any tail.
 
         -(p + a) = -p + (-a), so heads from one member of each +/- pair and
@@ -269,7 +315,7 @@ class _GrammarBuilder:
         gives every p + t, then every p - t.
         """
         if len(vars_) == 1:
-            return [Frac.variable(min(vars_))]
+            return [_leaf(min(vars_))]
         out = []
         for head_vars, tail_vars in _splits(vars_):
             tail_lists = [self.sum_reps(tail_vars)]
@@ -277,37 +323,37 @@ class _GrammarBuilder:
                 tail_lists.append(self.product_reps(tail_vars))
             for p in self.product_reps(head_vars):
                 for tails in tail_lists:
-                    pluses, minuses = zip(*(_disjoint_sums(p, t) for t in tails))
+                    pluses, minuses = zip(*(_sums(p, t) for t in tails))
                     out += pluses + minuses
         return out
 
     @_memoized
-    def pi2_reps(self, vars_: frozenset[int]) -> list[Frac]:
+    def pi2_reps(self, vars_: frozenset[int]) -> list[Value]:
         """Products of >= 2 sum-type factors on disjoint variables, up to sign."""
         out = []
         for head_vars, tail_vars in _splits(vars_):
             tails = self.pi1_reps(tail_vars)
             for s in self.sum_reps(head_vars):
                 for r in tails:
-                    out.append(_disjoint_product(s, r))
+                    out.append(_product(s, r))
         return out
 
     @_memoized
-    def pi1_reps(self, vars_: frozenset[int]) -> list[Frac]:
+    def pi1_reps(self, vars_: frozenset[int]) -> list[Value]:
         return self.pi2_reps(vars_) + self.sum_reps(vars_)
 
     @_memoized
-    def product_reps(self, vars_: frozenset[int]) -> list[Frac]:
+    def product_reps(self, vars_: frozenset[int]) -> list[Value]:
         """Pi2 products and each quotient n/d of Pi1 values with its reciprocal, up to sign."""
         if len(vars_) == 1:
             return self.sum_reps(vars_)
         out = list(self.pi2_reps(vars_))
         for num_vars, den_vars in _splits(vars_):
-            inverses = [d.reciprocal() for d in self.pi1_reps(den_vars)]
+            inverses = [_reciprocal(d) for d in self.pi1_reps(den_vars)]
             for n in self.pi1_reps(num_vars):
                 for d_inv in inverses:
-                    f = _disjoint_product(n, d_inv)
-                    out += (f, f.reciprocal())
+                    f = _product(n, d_inv)
+                    out += (f, _reciprocal(f))
         return out
 
 
@@ -328,7 +374,8 @@ def enumerate_grammar(
     lists = {"sum": b.sum_reps, "product": b.product_reps, "pi1": b.pi1_reps, "pi2": b.pi2_reps}
     if kind not in lists:
         raise ValueError(f"unknown grammar kind {kind!r}")
-    values = list(lists[kind](frozenset(range(1, k + 1))))
+    to_frac = _converter(k)
+    values = [to_frac(v) for v in lists[kind](frozenset(range(1, k + 1)))]
     if kind in ("sum", "product"):
         values += [-f for f in values]
     return values

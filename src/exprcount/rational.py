@@ -77,12 +77,6 @@ class Frac:
             raise ZeroDivisionError("division by the zero fraction")
         return _signed(*_product(self.num, self.den, other.den, other.num))
 
-    def reciprocal(self) -> "Frac":
-        """1/self: the swapped pair is still coprime, so only its sign is fixed."""
-        if self.num.is_zero():
-            raise ZeroDivisionError("reciprocal of the zero fraction")
-        return _signed(self.den, self.num)
-
     def __neg__(self) -> "Frac":
         # Negating the numerator keeps the pair canonical.
         return Frac._raw(-self.num, self.den)

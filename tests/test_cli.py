@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from exprcount import ClassSet, SequenceRow, SequenceTable, cli, compute_table, parse
+from exprcount import SequenceRow, SequenceTable, cli, compute_table, parse
 from exprcount.cli import main, table_to_csv, table_to_json
 
 COLUMNS = ("S", "Q", "R", "P", "A")
@@ -468,15 +468,12 @@ def test_verify_small(capsys):
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    enumerate_tree_classes = cli.enumerate_tree_classes
+    count_tree_classes = cli.count_tree_classes
 
     def one_class_short_at_k2(k, cutoff=None):
-        found = enumerate_tree_classes(k, cutoff=cutoff)
-        if k != 2:
-            return found
-        return ClassSet(frozenset(list(found.classes)[1:]))
+        return count_tree_classes(k, cutoff=cutoff) - (k == 2)
 
-    monkeypatch.setattr(cli, "enumerate_tree_classes", one_class_short_at_k2)
+    monkeypatch.setattr(cli, "count_tree_classes", one_class_short_at_k2)
     code, out, _ = run(capsys, "verify", "--max-k", "2")
     assert code == 1
     assert out.splitlines() == [
@@ -507,7 +504,7 @@ def test_verify_refuses_unreachable_k_before_any_work(capsys, monkeypatch, k):
         raise AssertionError("verify started work on an unreachable k")
 
     monkeypatch.setattr(cli, "compute_table", no_work)
-    monkeypatch.setattr(cli, "enumerate_tree_classes", no_work)
+    monkeypatch.setattr(cli, "count_tree_classes", no_work)
     for flags in ((), ("--unsafe-large",)):
         code, out, err = run(capsys, "verify", "--max-k", str(k), *flags)
         assert (code, out) == (2, "")

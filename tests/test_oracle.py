@@ -16,14 +16,27 @@ from exprcount import (
     tree_shapes,
 )
 from exprcount.oracle import (
-    _disjoint_product,
-    _disjoint_sums,
+    _converter,
     _GrammarBuilder,
+    _key,
+    _leaf,
+    _product,
+    _reciprocal,
     _splits,
-    _tree_values,
+    _sums,
+    _tree_reps,
+    count_tree_classes,
 )
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
+
+# Every oracle value in these tests lies on x1..x5 or on fewer variables.
+TO_FRAC = _converter(5)
+
+
+def _fracs(values):
+    """Oracle values as Fracs, in order."""
+    return [TO_FRAC(v) for v in values]
 
 
 def test_shape_counts_are_catalan():
@@ -165,55 +178,75 @@ def _grammar_builder(k, cutoff=None):
 
 
 def test_coefficient_bound_and_disjoint_supports():
-    # the precondition of the oracle's _disjoint_* arithmetic, on every value
-    # both oracle routes build
-    def check(f):
-        assert all(c in (-1, 1) for c in f.num.terms.values())
-        assert all(c in (-1, 1) for c in f.den.terms.values())
-        assert not set(f.num.terms) & set(f.den.terms)
+    # the precondition of the oracle's encoding, on every value both oracle
+    # routes build: numerator and denominator nonzero, no monomial with both
+    # signs, none shared by numerator and denominator, and the value's
+    # variables exactly those of its subset
+    def check(x, vars_):
+        nP, nN, dP, dN = x
+        assert nP | nN and dP | dN
+        assert not nP & nN and not dP & dN
+        assert not (nP | nN) & (dP | dN)
+        assert TO_FRAC(x).variables() == vars_
 
     for k in (1, 2, 3, 4, 5):
-        for f in enumerate_tree_classes(k, cutoff=5).classes:
-            check(f)
+        memo: dict = {}
+        _tree_reps(frozenset(range(1, k + 1)), memo)
+        for vars_, values in memo.items():
+            for x in values:
+                check(x, vars_)
         lists = _grammar_builder(k, cutoff=5)._memo
         # one member per sign pair only: a signed list in the memo fails here
         methods = {method.__name__ for method, _ in lists}
         assert methods == {"sum_reps", "product_reps", "pi1_reps", "pi2_reps"}
-        for values in lists.values():
-            for f in values:
-                check(f)
+        for (_, vars_), values in lists.items():
+            for x in values:
+                check(x, vars_)
 
 
 def test_disjoint_ops_equal_the_general_operators():
-    # every operand pair both routes join at k <= 4, against the gcd-based
-    # Frac operators
+    # every operand pair both routes join at k <= 4: the encoded results,
+    # converted, against the gcd-based Frac operators on the converted operands
     full = range(1, 5)
     subsets = [frozenset(c) for m in range(2, 5) for c in combinations(full, m)]
     memo: dict = {}
-    _tree_values(frozenset(full), memo)
+    _tree_reps(frozenset(full), memo)
     builder = _grammar_builder(4)
+
+    def check_sums(x, y):
+        fx, fy = TO_FRAC(x), TO_FRAC(y)
+        assert tuple(_fracs(_sums(x, y))) == (fx + fy, fx - fy)
+
+    def check_product(x, y):
+        assert TO_FRAC(_product(x, y)) == TO_FRAC(x) * TO_FRAC(y)
+
+    def check_quotients(x, y):
+        q = _product(x, _reciprocal(y))
+        fx, fy = TO_FRAC(x), TO_FRAC(y)
+        assert _fracs((q, _reciprocal(q))) == [fx / fy, fy / fx]
+
     for vars_ in subsets:
         for left, right in _splits(vars_):
             for u in memo[left]:
                 for w in memo[right]:
-                    assert _disjoint_sums(u, w) == (u + w, u - w)
-                    assert _disjoint_product(u, w) == u * w
-                    assert _disjoint_product(u, w.reciprocal()) == u / w
+                    check_sums(u, w)
+                    check_product(u, w)
+                    check_quotients(u, w)
             for p in builder.product_reps(left):
                 for t in builder.sum_reps(right) + builder.product_reps(right):
-                    assert _disjoint_sums(p, t) == (p + t, p - t)
+                    check_sums(p, t)
             for s in builder.sum_reps(left):
                 for r in builder.pi1_reps(right):
-                    assert _disjoint_product(s, r) == s * r
+                    check_product(s, r)
             for n in builder.pi1_reps(left):
                 for d in builder.pi1_reps(right):
-                    assert _disjoint_product(n, d.reciprocal()) == n / d
+                    check_quotients(n, d)
 
 
 def test_disjoint_sums_refuses_operands_that_share_a_monomial():
     # x1 + x1 merges x1 with itself, outside the join rule's precondition
     with pytest.raises(ArithmeticError):
-        _disjoint_sums(X[1], X[1])
+        _sums(_leaf(1), _leaf(1))
 
 
 def test_difference_and_quotient_constant_corollaries():
@@ -254,7 +287,7 @@ def test_sum_decomposition_uniqueness_theorem():
     # iff the summands match pairwise under some permutation
     builder = _GrammarBuilder()
     blocks = [frozenset({1}), frozenset({2, 3}), frozenset({4})]
-    pools = [_signed(builder.product_reps(b)) for b in blocks]
+    pools = [_signed(_fracs(builder.product_reps(b))) for b in blocks]
     rnd = random.Random(321)
     for _ in range(150):
         list1 = [rnd.choice(pool) for pool in pools]
@@ -274,8 +307,8 @@ def test_product_decomposition_uniqueness_theorem():
     builder = _GrammarBuilder()
     num_blocks = [frozenset({1}), frozenset({2, 3})]
     den_blocks = [frozenset({4, 5})]
-    num_pools = [_signed(builder.sum_reps(b)) for b in num_blocks]
-    den_pools = [_signed(builder.sum_reps(b)) for b in den_blocks]
+    num_pools = [_signed(_fracs(builder.sum_reps(b))) for b in num_blocks]
+    den_pools = [_signed(_fracs(builder.sum_reps(b))) for b in den_blocks]
     rnd = random.Random(654)
     for _ in range(150):
         nums1 = [rnd.choice(pool) for pool in num_pools]
@@ -312,15 +345,53 @@ def test_tree_memo_holds_one_value_per_sign_pair():
     for k in range(1, 6):
         full = frozenset(range(1, k + 1))
         memo: dict = {}
-        _tree_values(full, memo)
+        _tree_reps(full, memo)
         assert set(memo) == {
             frozenset(c) for m in range(1, k + 1) for c in combinations(range(1, k + 1), m)
         }
         for reps in memo.values():
             # 2n distinct values: no repeat, and never both f and -f
-            assert len(set(reps) | {-f for f in reps}) == 2 * len(reps)
-        reps = set(memo[full])
+            fracs = _fracs(reps)
+            assert len(set(fracs) | {-f for f in fracs}) == 2 * len(reps)
+        reps = set(_fracs(memo[full]))
         assert reps | {-f for f in reps} == enumerate_tree_classes(k, cutoff=5).classes
+        assert count_tree_classes(k, cutoff=5) == 2 * len(reps)
+
+
+def test_key_is_one_per_sign_pair():
+    # the four encodings (+-n)/(+-d) of each k = 4 tree value convert to f
+    # and -f and share one key; distinct pairs have distinct keys.  The walk
+    # reaches each pair in one encoding, so only this test sees the others.
+    full = frozenset(range(1, 5))
+    reps = _tree_reps(full, {})
+    for x in reps:
+        nP, nN, dP, dN = x
+        encodings = [(nP, nN, dP, dN), (nN, nP, dN, dP), (nN, nP, dP, dN), (nP, nN, dN, dP)]
+        f = TO_FRAC(x)
+        assert _fracs(encodings) == [f, f, -f, -f]
+        assert len({_key(e, 1 << 4) for e in encodings}) == 1
+    assert len({_key(x, 1 << 4) for x in reps}) == len(reps) == 1466 // 2
+
+
+def test_count_tree_classes_at_k6():
+    assert count_tree_classes(6, cutoff=6) == compute_table(6).row(6).A == 887650
+
+
+def test_k6_grammar_reps_have_distinct_keys():
+    # each kind's k = 6 list holds one member of as many +/- pairs as the
+    # engine counts classes (S_6/2, P_6/2, R_6, Q_6), each pair once
+    row = compute_table(6).row(6)
+    builder = _GrammarBuilder()
+    full = frozenset(range(1, 7))
+    lengths = {
+        builder.sum_reps: row.S // 2,
+        builder.product_reps: row.P // 2,
+        builder.pi1_reps: row.R,
+        builder.pi2_reps: row.Q,
+    }
+    for reps_of, length in lengths.items():
+        reps = reps_of(full)
+        assert len({_key(x, 1 << 6) for x in reps}) == len(reps) == length
 
 
 def _all_signed_pairs_values(vars_, memo):
@@ -333,8 +404,7 @@ def _all_signed_pairs_values(vars_, memo):
         for left, right in _splits(vars_):
             for u in _all_signed_pairs_values(left, memo):
                 for w in _all_signed_pairs_values(right, memo):
-                    q = u / w
-                    for r in (u + w, u * w, q, q.reciprocal()):
+                    for r in (u + w, u * w, u / w, w / u):
                         out |= {r, -r}
         memo[vars_] = frozenset(out)
     return memo[vars_]
@@ -384,19 +454,20 @@ def test_grammar_reps_hold_one_member_of_each_sign_pair():
             sums, products = builder.sum_reps(vars_), builder.product_reps(vars_)
             for reps in (sums, products, builder.pi1_reps(vars_), builder.pi2_reps(vars_)):
                 # never both f and -f, and no repeat
-                assert len(set(reps) | {-f for f in reps}) == 2 * len(reps)
+                fracs = _fracs(reps)
+                assert len(set(fracs) | {-f for f in fracs}) == 2 * len(reps)
     # the signed lists exist only at the boundary: reps, then their negations
     for k in range(1, 5):
         full = frozenset(range(1, k + 1))
         sums, products = builder.sum_reps(full), builder.product_reps(full)
-        assert enumerate_grammar(k, "sum", builder=builder) == _signed(sums)
-        assert enumerate_grammar(k, "product", builder=builder) == _signed(products)
+        assert enumerate_grammar(k, "sum", builder=builder) == _signed(_fracs(sums))
+        assert enumerate_grammar(k, "product", builder=builder) == _signed(_fracs(products))
 
 
 @pytest.mark.exact_k6
 def test_exact_k6_tree_and_grammar_routes():
-    # A_6 by both exact routes; about a minute and 1 GB, so deselected by
-    # default (see pyproject.toml) and run with `pytest -m exact_k6`.
+    # A_6 by both exact routes as Frac values; about 50 s and 0.7 GB, so
+    # deselected by default (see pyproject.toml) and run with `pytest -m exact_k6`.
     row = compute_table(6).row(6)
     classes = enumerate_tree_classes(6, cutoff=6).classes
     assert len(classes) == row.A == 887650
