@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             f"allow K beyond the enumeration cutoff, up to {VERIFY_MAX_K} (k=6 takes "
-            "about 2.5 s and 0.14 GB; k=7 is unmeasured, estimated at over 4 GB)"
+            "about 1.5 s and 0.07 GB; k=7 is unmeasured, estimated at over 2 GB)"
         ),
     )
     # Accepted and validated but selects nothing: the enumeration is serial.

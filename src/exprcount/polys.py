@@ -86,9 +86,14 @@ def _grlex_desc_key(m: Monomial) -> tuple:
 
 
 class Poly:
-    """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
+    """Immutable sparse polynomial; do not mutate ``terms`` after creation.
 
-    __slots__ = ("terms",)
+    The hash is computed on the first ``hash()`` and kept in ``_hash``;
+    building a ``Poly`` leaves that slot unset, so arithmetic that never
+    hashes its intermediate results pays nothing for it.
+    """
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
         self.terms: dict[Monomial, int] = (
@@ -195,7 +200,11 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.terms.items()))
+            return h
 
     def __str__(self) -> str:
         return poly_str(self)

@@ -48,26 +48,10 @@ class Frac:
         return self.num.variables() | self.den.variables()
 
     def __add__(self, other: "Frac") -> "Frac":
-        # Classical cross-cancelling sum: with gcd(a,b) = gcd(c,d) = 1 and
-        # g = gcd(b,d), h = gcd(a(d/g) + c(b/g), g), the pair
-        # (t/h, (b/g)(d/h)) is already coprime, so no further gcd is needed.
-        # A zero sum needs no shortcut: canonical pairs are unique, so it
-        # forces d = b and c = -a.  Then b = d = 1 when g = 1; else g = b
-        # (both lead positive), b/g = d/g = 1 and h = gcd(0, g) = g.  Either
-        # way the pair is (0, 1).
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        g = poly_gcd(b, d)
-        if g == ONE:
-            return Frac._raw(a * d + c * b, b * d)
-        b0 = divexact(b, g)
-        d0 = divexact(d, g)
-        t = a * d0 + c * b0
-        h = poly_gcd(t, g)
-        return Frac._raw(divexact(t, h), b0 * divexact(d, h))
+        return _sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "Frac") -> "Frac":
-        return self + -other
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __mul__(self, other: "Frac") -> "Frac":
         return Frac._raw(*_product(self.num, self.den, other.num, other.den))
@@ -118,6 +102,26 @@ def canonicalize(num: Poly, den: Poly) -> Frac:
         raise ZeroDivisionError("zero denominator")
     g = poly_gcd(num, den)
     return _signed(divexact(num, g), divexact(den, g))
+
+
+def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> Frac:
+    """a/b + c/d, for canonical pairs (a, b) and (c, d).
+
+    Classical cross-cancelling sum: with g = gcd(b, d) and
+    h = gcd(a(d/g) + c(b/g), g), the pair (t/h, (b/g)(d/h)) is already
+    coprime, so no further gcd is needed.  A zero sum needs no shortcut:
+    canonical pairs are unique, so it forces d = b and c = -a.  Then
+    b = d = 1 when g = 1; else g = b (both lead positive), b/g = d/g = 1
+    and h = gcd(0, g) = g.  Either way the pair is (0, 1).
+    """
+    g = poly_gcd(b, d)
+    if g == ONE:
+        return Frac._raw(a * d + c * b, b * d)
+    b0 = divexact(b, g)
+    d0 = divexact(d, g)
+    t = a * d0 + c * b0
+    h = poly_gcd(t, g)
+    return Frac._raw(divexact(t, h), b0 * divexact(d, h))
 
 
 def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:

@@ -16,6 +16,7 @@ from exprcount import (
     enumerate_tree_classes,
     enumerate_tree_classes_literal,
     iter_expression_trees,
+    polys,
     tree_shapes,
 )
 from exprcount.oracle import (
@@ -34,12 +35,17 @@ from exprcount.oracle import (
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
 # Every oracle value in these tests lies on x1..x5 or on fewer variables.
-TO_FRAC = _converter(5)
+CONVERT = _converter(5)
+
+
+def _frac(x):
+    """One oracle value as a Frac."""
+    return CONVERT([x])[0]
 
 
 def _fracs(values):
     """Oracle values as Fracs, in order."""
-    return [TO_FRAC(v) for v in values]
+    return CONVERT(list(values))
 
 
 def test_shape_counts_are_catalan():
@@ -190,7 +196,7 @@ def test_coefficient_bound_and_disjoint_supports():
         assert nP | nN and dP | dN
         assert not nP & nN and not dP & dN
         assert not (nP | nN) & (dP | dN)
-        assert TO_FRAC(x).variables() == vars_
+        assert _frac(x).variables() == vars_
 
     for k in (1, 2, 3, 4, 5):
         memo: dict = {}
@@ -217,15 +223,15 @@ def test_disjoint_ops_equal_the_general_operators():
     builder = _grammar_builder(4)
 
     def check_sums(x, y):
-        fx, fy = TO_FRAC(x), TO_FRAC(y)
+        fx, fy = _frac(x), _frac(y)
         assert tuple(_fracs(_sums(x, y))) == (fx + fy, fx - fy)
 
     def check_product(x, y):
-        assert TO_FRAC(_product(x, y)) == TO_FRAC(x) * TO_FRAC(y)
+        assert _frac(_product(x, y)) == _frac(x) * _frac(y)
 
     def check_quotients(x, y):
         q = _product(x, _reciprocal(y))
-        fx, fy = TO_FRAC(x), TO_FRAC(y)
+        fx, fy = _frac(x), _frac(y)
         assert _fracs((q, _reciprocal(q))) == [fx / fy, fy / fx]
 
     for vars_ in subsets:
@@ -370,7 +376,7 @@ def test_key_is_one_per_sign_pair():
     for x in reps:
         nP, nN, dP, dN = x
         encodings = [(nP, nN, dP, dN), (nN, nP, dN, dP), (nN, nP, dP, dN), (nP, nN, dN, dP)]
-        f = TO_FRAC(x)
+        f = _frac(x)
         assert _fracs(encodings) == [f, f, -f, -f]
         assert len({_key(e, 1 << 4) for e in encodings}) == 1
     assert len({_key(x, 1 << 4) for x in reps}) == len(reps) == 1466 // 2
@@ -390,17 +396,17 @@ def _raw_poly(P, N):
 def test_converter_matches_canonicalize():
     # every value both routes memoize at k = 5 (its memos hold every subset
     # of x1..x5, so every value of k <= 5): the converted Frac is the gcd
-    # route's canonical pair, its denominator leads positive, and
-    # (nN, nP, dP, dN) converts to its negation
+    # route's canonical pair, its denominator leads positive, and a signed
+    # conversion appends its negation
     memo: dict = {}
     _tree_reps(frozenset(range(1, 6)), memo)
     lists = list(memo.values()) + list(_grammar_builder(5, cutoff=5)._memo.values())
     for x in {x for values in lists for x in values}:
         nP, nN, dP, dN = x
-        f = TO_FRAC(x)
+        f, negation = CONVERT([x], True)
         assert f == canonicalize(_raw_poly(nP, nN), _raw_poly(dP, dN))
         assert f.den.leading_coeff() > 0
-        assert TO_FRAC((nN, nP, dP, dN)) == -f
+        assert negation == -f
 
 
 def test_grammar_conversion_decides_each_denominator_sign_once(monkeypatch):
@@ -429,6 +435,33 @@ def test_grammar_conversion_decides_each_denominator_sign_once(monkeypatch):
     assert max(leading.values()) == 1
     assert sum(leading.values()) <= len(denominators)
     assert not negations
+
+
+def test_grammar_round_set_hashes_each_polynomial_once(monkeypatch):
+    # perfbench's duplicate check on one verify round's grammar step: two
+    # Poly hashes per Frac, and the term set is hashed once per distinct
+    # polynomial (the converter shares them), later hashes read the cache
+    builder = _GrammarBuilder()
+    values = enumerate_grammar(5, "sum", cutoff=5, builder=builder)
+    values += enumerate_grammar(5, "product", cutoff=5, builder=builder)
+    calls, computed = Counter(), Counter()
+    poly_hash = Poly.__hash__
+
+    def counted_hash(p):
+        calls[id(p)] += 1
+        return poly_hash(p)
+
+    def counted_frozenset(items):
+        computed["terms"] += 1
+        return frozenset(items)
+
+    monkeypatch.setattr(Poly, "__hash__", counted_hash)
+    monkeypatch.setattr(polys, "frozenset", counted_frozenset, raising=False)
+    assert len(set(values)) == len(values) == 31814
+    distinct = {id(p) for f in values for p in (f.num, f.den)}
+    assert sum(calls.values()) == 2 * len(values) == 63628
+    assert set(calls) == distinct
+    assert computed["terms"] == len(distinct) <= 6635
 
 
 def test_count_tree_classes_at_k6():
@@ -524,7 +557,7 @@ def test_grammar_reps_hold_one_member_of_each_sign_pair():
 
 @pytest.mark.exact_k6
 def test_exact_k6_tree_and_grammar_routes():
-    # A_6 by both exact routes as Frac values; about 30 s and 0.4 GB, so
+    # A_6 by both exact routes as Frac values; about 21 s and 0.4 GB, so
     # deselected by default (see pyproject.toml) and run with `pytest -m exact_k6`.
     row = compute_table(6).row(6)
     classes = enumerate_tree_classes(6, cutoff=6).classes

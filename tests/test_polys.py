@@ -215,3 +215,17 @@ def test_hash_consistent_with_eq():
     q = Poly.const(3) + x2 * x1
     assert p == q
     assert hash(p) == hash(q)
+
+
+def test_cached_hash_matches_the_term_set_hash():
+    # equal polynomials whose terms were inserted in different orders hash
+    # equal whichever is hashed first, and the cached value is the term set's
+    rnd = random.Random(23)
+    for _ in range(200):
+        p = random_poly(rnd, [1, 2, 3], max_terms=5)
+        items = list(p.terms.items())
+        rnd.shuffle(items)
+        for first, second in ((p, Poly(dict(items))), (Poly(dict(items)), p)):
+            assert first == second
+            assert hash(first) == hash(frozenset(first.terms.items()))
+            assert hash(second) == hash(first) == hash(second)

@@ -121,6 +121,30 @@ def test_hash_consistent_with_eq():
     assert len({a, b}) == 1
 
 
+def test_sub_is_one_frac_operation_equal_to_adding_the_negation(monkeypatch):
+    rnd = random.Random(31)
+    pairs = [(random_fraction(rnd, [1, 2, 3]), random_fraction(rnd, [2, 3])) for _ in range(300)]
+    expected = [a + (-b) for a, b in pairs]
+    adds = []
+    add = Frac.__add__
+
+    def counted_add(a, b):
+        adds.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(Frac, "__add__", counted_add)
+    assert [a - b for a, b in pairs] == expected
+    assert not adds
+
+
+def test_frac_holds_only_its_pair():
+    # no cached hash: a Frac's hash is its two polynomials', whose hashes
+    # Poly caches
+    assert Frac.__slots__ == ("num", "den")
+    f = f1 / f2 + f3
+    assert hash(f) == hash((f.num, f.den))
+
+
 def test_operators_match_plain_cross_multiplication():
     # the cross-cancelling operators must agree with the textbook formulas
     # followed by one full canonicalization
