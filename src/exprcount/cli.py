@@ -28,12 +28,7 @@ from typing import Iterator, TextIO
 
 from .counting import OpCounter, SequenceRow, SequenceTable, compute_table
 from .expressions import ExprSyntaxError, NameMap, evaluate, parse
-from .oracle import DEFAULT_CUTOFF, count_tree_classes
-
-# verify holds every class of the largest k in memory, and A_8 is about
-# 40 times A_7: no k above this one is in reach, with or without
-# --unsafe-large.
-VERIFY_MAX_K = 7
+from .oracle import DEFAULT_CUTOFF, MAX_K, count_tree_classes
 
 
 def _to_decimal(v: int) -> str:
@@ -116,9 +111,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     k_max = args.max_k
-    if k_max > VERIFY_MAX_K:
+    if k_max > MAX_K:
         print(
-            f"error: --max-k {k_max} exceeds {VERIFY_MAX_K}, the largest k verify "
+            f"error: --max-k {k_max} exceeds {MAX_K}, the largest k verify "
             f"enumerates (k=8 has 1.2 billion classes)",
             file=sys.stderr,
         )
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--unsafe-large",
         action="store_true",
         help=(
-            f"allow K beyond the enumeration cutoff, up to {VERIFY_MAX_K} (k=6 takes "
+            f"allow K beyond the enumeration cutoff, up to {MAX_K} (k=6 takes "
             "about 1.5 s and 0.07 GB; k=7 is unmeasured, estimated at over 2 GB)"
         ),
     )

@@ -70,13 +70,14 @@ each polynomial's terms once.  The general ``Frac`` operators give the
 same values and stay the reference.
 
 Enumeration is intentionally bounded: k above the cutoff (default 4) is
-rejected unless a larger ``cutoff`` is passed explicitly.  The literal
-route, ``iter_expression_trees``, walks the raw tree space of roughly
+rejected unless a larger ``cutoff`` is passed explicitly, and k above
+``MAX_K`` = 7 is rejected whatever the cutoff, as A_8 = 1,218,864,842
+classes would need about 90 GB.  The literal route,
+``iter_expression_trees``, walks the raw tree space of roughly
 Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
 2e8 at k = 5; the subset recursion takes under a second at k = 5.  At
 k = 6 on a 2-core host, ``count_tree_classes`` took 1.3-1.5 s at a 69 MB
-peak RSS, and ``enumerate_tree_classes``, which builds the 887,650
-classes as ``Frac`` values, 4.1-6.7 s at 241 MB (separate processes).
+peak RSS.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ from .polys import Poly
 from .rational import Frac, _leads_negative
 
 DEFAULT_CUTOFF = 4
+
+# Both routes hold every class of the largest k in memory (a count keeps one
+# packed key per +/- pair), and A_8 is about 40 times A_7: no k above this
+# one is in reach, whatever the cutoff.
+MAX_K = 7
 
 # A shape is None for a leaf or a (left, right) pair of shapes.
 Shape = None | tuple
@@ -114,6 +120,8 @@ class ClassSet:
 def _check_k(k: int, cutoff: int | None) -> None:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"k={k} exceeds {MAX_K}, the largest k the oracle enumerates")
     limit = DEFAULT_CUTOFF if cutoff is None else cutoff
     if k > limit:
         raise ValueError(
@@ -188,8 +196,8 @@ def _key(x: Value, width: int) -> int:
     return nP | nN << width | dP << 2 * width | dN << 3 * width
 
 
-def _converter(k: int) -> Callable[[list[Value], bool], list[Frac]]:
-    """Value lists -> Frac lists on x1..xk, from cached polynomials and signs.
+def _converter() -> Callable[[list[Value], bool], list[Frac]]:
+    """Value lists -> Frac lists, from cached polynomials and signs.
 
     Each Poly is built once per (P, N) from the set bits of P | N in
     ascending mask order.  Each denominator (dP, dN) is looked up once in
@@ -197,9 +205,10 @@ def _converter(k: int) -> Callable[[list[Value], bool], list[Frac]]:
     pair that does is read as (nN, nP, dN, dP), so no negated copy is made.
     The returned function converts a list in one pass, and with
     ``signed`` true appends the negations, each converted from
-    (nN, nP, dP, dN), after the values.
+    (nN, nP, dP, dN), after the values.  A mask's monomial does not
+    depend on k, so one table of the masks below 1 << MAX_K serves every k.
     """
-    table = [tuple((i + 1, 1) for i in range(k) if m >> i & 1) for m in range(1 << k)]
+    table = [tuple((i + 1, 1) for i in range(MAX_K) if m >> i & 1) for m in range(1 << MAX_K)]
 
     @cache
     def poly(P: int, N: int) -> Poly:
@@ -280,7 +289,7 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     """
     _check_k(k, cutoff)
     reps = _tree_reps(frozenset(range(1, k + 1)), {})
-    return ClassSet(frozenset(_converter(k)(reps, signed=True)))
+    return ClassSet(frozenset(_converter()(reps, signed=True)))
 
 
 def count_tree_classes(k: int, cutoff: int | None = None) -> int:
@@ -348,15 +357,14 @@ class _GrammarBuilder:
     signed list is held.  Each class is generated exactly once -- the
     uniqueness theorems for these decompositions are what the
     duplicate-freedom tests exercise.  Each list is memoized per subset;
-    callers must not mutate it.  The builder also keeps one ``_converter``
-    per k, so ``enumerate_grammar`` calls that share it share its
-    polynomials and sign decisions.
+    callers must not mutate it.  The builder also keeps one ``_converter``,
+    so ``enumerate_grammar`` calls that share it share its polynomials and
+    sign decisions.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple, list] = {}
-        # _converter(k) by k
-        self._converters: dict[int, Callable[[list[Value], bool], list[Frac]]] = {}
+        self._convert = _converter()
 
     @_memoized
     def sum_reps(self, vars_: frozenset[int]) -> list[Value]:
@@ -428,7 +436,4 @@ def enumerate_grammar(
     lists = {"sum": b.sum_reps, "product": b.product_reps, "pi1": b.pi1_reps, "pi2": b.pi2_reps}
     if kind not in lists:
         raise ValueError(f"unknown grammar kind {kind!r}")
-    convert = b._converters.get(k)
-    if convert is None:
-        convert = b._converters[k] = _converter(k)
-    return convert(lists[kind](frozenset(range(1, k + 1))), kind in ("sum", "product"))
+    return b._convert(lists[kind](frozenset(range(1, k + 1))), kind in ("sum", "product"))

@@ -172,14 +172,7 @@ class Poly:
         return Poly._raw(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly._raw(out)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly._raw({m: -c for m, c in self.terms.items()})

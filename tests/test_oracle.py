@@ -16,6 +16,7 @@ from exprcount import (
     enumerate_tree_classes,
     enumerate_tree_classes_literal,
     iter_expression_trees,
+    oracle,
     polys,
     tree_shapes,
 )
@@ -34,8 +35,8 @@ from exprcount.oracle import (
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]
 
-# Every oracle value in these tests lies on x1..x5 or on fewer variables.
-CONVERT = _converter(5)
+# One converter for every k, as a _GrammarBuilder shares one.
+CONVERT = _converter()
 
 
 def _frac(x):
@@ -96,13 +97,29 @@ def test_splits_are_each_unordered_split_once(size):
     assert len({frozenset(split) for split in splits}) == len(splits)
 
 
-def test_cutoff_guard():
+def test_cutoff_guard(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_tree_classes(5)
     with pytest.raises(ValueError):
         enumerate_tree_classes(3, cutoff=2)
     with pytest.raises(ValueError):
         enumerate_tree_classes(0)
+
+    # no cutoff reaches past MAX_K: each call raises before any work (every
+    # route first splits a variable set or lists tree shapes)
+    def work(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracle, "_splits", work)
+    monkeypatch.setattr(oracle, "tree_shapes", work)
+    for route in (
+        enumerate_tree_classes,
+        count_tree_classes,
+        lambda k, cutoff: enumerate_grammar(k, "sum", cutoff=cutoff),
+        enumerate_tree_classes_literal,
+    ):
+        with pytest.raises(ValueError):
+            route(8, cutoff=8)
 
 
 def test_grammar_counts_match_engine():
