@@ -41,30 +41,28 @@ in stored integers and a quadratic operation count overall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class InexactDivisionError(ArithmeticError):
     """A halving step in the recurrence hit an odd value (internal fault)."""
 
 
-class SequenceRow(NamedTuple):
-    S: int
-    Q: int
-    R: int
-    P: int
-    A: int
-
+SequenceRow = namedtuple("SequenceRow", "S Q R P A")
 
 BASE_ROW = SequenceRow(S=2, Q=1, R=1, P=2, A=2)
 
 
-@dataclass(frozen=True)
 class SequenceTable:
     """Counts for k = 1..n; immutable and safe to share across threads."""
 
-    rows: tuple[SequenceRow, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[SequenceRow, ...]):
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        return self.rows == other.rows if type(other) is SequenceTable else NotImplemented
 
     @property
     def n(self) -> int:
@@ -76,13 +74,15 @@ class SequenceTable:
         return self.rows[k - 1]
 
 
-@dataclass
 class OpCounter:
     """Tally of arbitrary-precision integer operations, for benchmarking."""
 
-    muls: int = 0
-    adds: int = 0
-    divs: int = 0
+    __slots__ = ("muls", "adds", "divs")
+
+    def __init__(self, muls: int = 0, adds: int = 0, divs: int = 0):
+        self.muls = muls
+        self.adds = adds
+        self.divs = divs
 
 
 def _next_row(

@@ -26,43 +26,71 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 from .rational import Frac
 
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
+class _Node:
+    """Equality by exact class and fields, and the matching hash and repr.
+
+    The fields are the names in ``__match_args__``.  Nodes are immutable by
+    convention, like ``Frac``: nothing assigns to a field after ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "ExprTree"
+class Leaf(_Node):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "ExprTree"
-    right: "ExprTree"
+class Neg(_Node):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: ExprTree):
+        self.child = child
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprTree"
-    right: "ExprTree"
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: ExprTree, right: ExprTree):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprTree"
-    right: "ExprTree"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "ExprTree"
-    right: "ExprTree"
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
 
 
 ExprTree = Leaf | Neg | Add | Sub | Mul | Div

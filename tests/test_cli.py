@@ -412,6 +412,21 @@ def test_closed_stdout_exits_2_silently(unbuffered):
         assert (proc.wait(timeout=60), err) == (2, b"")
 
 
+def test_start_loads_no_code_generation_or_typing():
+    # dataclasses (with inspect, ast, dis and tokenize behind it) and typing
+    # were most of each command's import time.  A fresh interpreter, as this
+    # one has them all; diffing sys.modules ignores whatever site loads.
+    newly_loaded = (
+        "import sys; before = set(sys.modules); import exprcount.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", newly_loaded], env=env, capture_output=True, text=True)
+    loaded = set(run.stdout.split())
+    assert "exprcount.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
+
+
 class _ClosedStream(io.TextIOBase):
     """A stream whose reader has gone: every write raises BrokenPipeError."""
 

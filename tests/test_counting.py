@@ -14,6 +14,7 @@ from exprcount import (
     InexactDivisionError,
     OpCounter,
     SequenceRow,
+    SequenceTable,
     compute_table,
     counting,
 )
@@ -25,6 +26,17 @@ def test_base_row():
     assert table.n == 1
     assert table.row(1) == SequenceRow(S=2, Q=1, R=1, P=2, A=2)
     assert table.row(1) == BASE_ROW
+
+
+def test_table_counter_and_row_semantics():
+    table = compute_table(5)
+    assert table == compute_table(5) == SequenceTable(table.rows)
+    assert table != compute_table(4) and table != table.rows
+    counter = OpCounter()
+    assert (counter.muls, counter.adds, counter.divs) == (0, 0, 0)
+    assert OpCounter(divs=2).divs == 2
+    assert SequenceRow._fields == ("S", "Q", "R", "P", "A")
+    assert BASE_ROW._replace(A=3) == (2, 1, 1, 2, 3)
 
 
 def test_rejects_nonpositive_n():

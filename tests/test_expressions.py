@@ -28,6 +28,36 @@ def test_parse_unary_minus_in_parens():
     assert [names.name_of(i) for i in (1, 2, 3)] == ["a", "b", "x3"]
 
 
+def test_nodes_round_trip_through_repr_and_hash_as_they_compare():
+    rnd = random.Random(26)
+    namespace = {cls.__name__: cls for cls in (Leaf, Neg, Add, Sub, Mul, Div)}
+    for _ in range(300):
+        tree = random_tree(rnd, 6)
+        copy = eval(repr(tree), namespace)
+        assert copy == tree and copy is not tree
+        assert hash(copy) == hash(tree)
+    assert repr(Add(Leaf(1), Leaf(2))) == "Add(left=Leaf(index=1), right=Leaf(index=2))"
+
+
+def test_nodes_are_equal_only_within_one_class():
+    a, b = Leaf(1), Leaf(2)
+    assert Add(a, b) != Sub(a, b)
+    assert len({Add(a, b), Sub(a, b), Mul(a, b), Div(a, b), Add(a, b)}) == 4
+    assert Neg(a) != a and Leaf(1) != 1 and Leaf(1) == Leaf(1)
+
+
+def test_nodes_match_by_position_and_have_no_dict():
+    tree, _ = parse("-(a+b)*c")
+    match tree:
+        case Mul(Neg(Add(left, right)), Leaf(index)):
+            assert (left, right, index) == (Leaf(1), Leaf(2), 3)
+        case _:
+            pytest.fail(f"no case matched {tree!r}")
+    a = Leaf(1)
+    for node in (a, Neg(a), Add(a, a), Sub(a, a), Mul(a, a), Div(a, a)):
+        assert not hasattr(node, "__dict__")
+
+
 def test_parse_precedence():
     tree, _ = parse("(a*b)/c")
     assert tree == Div(Mul(Leaf(1), Leaf(2)), Leaf(3))

@@ -57,6 +57,7 @@ def test_k1_classes():
     cs = enumerate_tree_classes(1)
     assert cs.classes == {X[1], -X[1]}
     assert len(enumerate_tree_classes(1)) == 2
+    assert cs == enumerate_tree_classes_literal(1) != enumerate_tree_classes(2)
 
 
 def test_k2_classes_match_manual_listing():
