@@ -12,9 +12,10 @@ Exit codes: 0 success (and ``equiv`` equivalent), 1 ``equiv`` inequivalent
 or ``verify`` mismatch, 2 usage or expression syntax errors (including
 expressions nested deeper than ``expressions.MAX_DEPTH``), inputs past
 the recursion limit and a stdout closed by its reader (e.g. ``| head -1``;
-then nothing goes to stderr), 3 any internal error.  An error line that
-meets a closed stderr is dropped and the exit code stays.  All stdout
-output is deterministic; ``bench`` sends its wall-clock timings to stderr.
+then nothing goes to stderr), 3 any internal error, 130 an interrupt
+(Ctrl-C; nothing goes to stderr).  An error line that meets a closed
+stderr is dropped and the exit code stays.  All stdout output is
+deterministic; ``bench`` sends its wall-clock timings to stderr.
 """
 
 from __future__ import annotations
@@ -282,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 -- any other fault is internal
         _report(f"internal error: {type(exc).__name__}: {exc}")
         return 3
+    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+        return 130
 
 
 if __name__ == "__main__":

@@ -26,6 +26,9 @@ minus at any node position but never directly on top of another one):
   Its output lists must be duplicate-free and exactly as long as the
   corresponding engine sequences; the tests enforce both.
 
+One ``_GrammarBuilder`` holds both routes' subset lists, each memoized
+per (route method, subset), and the one converter to ``Frac``.
+
 Both routes compute on one exact encoding, private to this module, and
 build ``Frac`` values only on return.  A monomial is a variable set held
 as a mask m (bit i - 1 for x_i); a polynomial with coefficients +-1 is
@@ -106,19 +109,15 @@ Split = tuple[frozenset[int], frozenset[int]]
 Value = tuple[int, int, int, int]  # (nP, nN, dP, dN), as in the module docstring
 
 
-class ClassSet:
-    """The equivalence classes on exactly k variables, as canonical fractions."""
+class ClassSet(frozenset):
+    """The equivalence classes on exactly k variables: a frozenset of canonical fractions."""
 
-    __slots__ = ("classes",)
+    __slots__ = ()
 
-    def __init__(self, classes: frozenset[Frac]):
-        self.classes = classes
-
-    def __eq__(self, other: object) -> bool:
-        return self.classes == other.classes if type(other) is ClassSet else NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.classes)
+    @property
+    def classes(self) -> frozenset[Frac]:
+        """The set itself."""
+        return self
 
 
 def _check_k(k: int, cutoff: int | None) -> None:
@@ -212,7 +211,9 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
     (nN, nP, dP, dN), after the values.  A mask's monomial does not
     depend on k, so one table of the masks below 1 << MAX_K serves every k.
     """
-    table = [tuple((i + 1, 1) for i in range(MAX_K) if m >> i & 1) for m in range(1 << MAX_K)]
+    table = [()]  # table[m]: the monomial of mask m, by doubling over the variables
+    for i in range(MAX_K):
+        table += [t + ((i + 1, 1),) for t in table]
 
     @cache
     def poly(P: int, N: int) -> Poly:
@@ -245,43 +246,6 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
     return convert
 
 
-def _tree_candidates(vars_: frozenset[int], memo: dict) -> Iterator[Value]:
-    """Every value the tree walk forms on vars_, in walk order, repeats included.
-
-    The value sets are closed under negation, so the walk combines one
-    representative u per +/- pair on the left with one w on the right:
-    +-(u + w), +-(u - w), +-u*w, +-q and +-1/q, q = u/w, are all the values
-    the signed pairs give, and the mirrored split adds only the reciprocals.
-    A single variable is its own one value.
-    """
-    if len(vars_) == 1:
-        yield _leaf(min(vars_))
-    for left, right in _splits(vars_):  # none for a single variable
-        rights = [(w, _reciprocal(w)) for w in _tree_reps(right, memo)]
-        for u in _tree_reps(left, memo):
-            for w, w_inv in rights:
-                q = _product(u, w_inv)
-                yield from (*_sums(u, w), _product(u, w), q, _reciprocal(q))
-
-
-def _tree_reps(vars_: frozenset[int], memo: dict) -> list[Value]:
-    """One value per +/- pair of the values of every tree on vars_.
-
-    memo[vars_] keeps the first candidate reached of each pair, computed
-    once per subset.
-    """
-    if vars_ in memo:
-        return memo[vars_]
-    width, seen, reps = 1 << max(vars_), set(), []
-    for r in _tree_candidates(vars_, memo):
-        n = len(seen)
-        seen.add(_key(r, width))
-        if len(seen) > n:
-            reps.append(r)
-    memo[vars_] = reps
-    return reps
-
-
 def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     """Deduplicated values of all expression trees on variables x1..xk.
 
@@ -289,11 +253,12 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     for some split V = L | R, and op acts elementwise on the two value
     sets, so values(V) is built from one representative per +/- pair on L
     and on R over the unordered splits {L, R} (u+w, u-w, u*w, u/w and its
-    reciprocal, each with its negation), memoized by variable subset.
+    reciprocal, each with its negation), memoized by variable subset in
+    one ``_GrammarBuilder``.
     """
     _check_k(k, cutoff)
-    reps = _tree_reps(frozenset(range(1, k + 1)), {})
-    return ClassSet(frozenset(_converter()(reps, signed=True)))
+    b = _GrammarBuilder()
+    return ClassSet(b._convert(b.tree_reps(frozenset(range(1, k + 1))), signed=True))
 
 
 def count_tree_classes(k: int, cutoff: int | None = None) -> int:
@@ -303,7 +268,7 @@ def count_tree_classes(k: int, cutoff: int | None = None) -> int:
     """
     _check_k(k, cutoff)
     full, width = frozenset(range(1, k + 1)), 1 << k
-    return 2 * len({_key(r, width) for r in _tree_candidates(full, {})})
+    return 2 * len({_key(r, width) for r in _GrammarBuilder().tree_candidates(full)})
 
 
 def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTree]:
@@ -335,7 +300,7 @@ def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTre
 
 def enumerate_tree_classes_literal(k: int, cutoff: int | None = None) -> ClassSet:
     """Class set via the one-tree-at-a-time route (slow; small k only)."""
-    return ClassSet(frozenset(evaluate(t) for t in iter_expression_trees(k, cutoff)))
+    return ClassSet(evaluate(t) for t in iter_expression_trees(k, cutoff))
 
 
 def _memoized(method):
@@ -352,23 +317,53 @@ def _memoized(method):
 
 
 class _GrammarBuilder:
-    """Structural generation of expression classes over variable subsets.
+    """Both enumeration routes' lists over variable subsets, in one memo.
 
-    Sum-type values on V split uniquely into the product-type summand
-    containing min(V) and the remaining sum; products split into the
-    numerator/denominator factor groups, counted up to sign.  Every kind
-    is built as one member per +/- pair (the ``*_reps`` lists), and no
-    signed list is held.  Each class is generated exactly once -- the
-    uniqueness theorems for these decompositions are what the
-    duplicate-freedom tests exercise.  Each list is memoized per subset;
-    callers must not mutate it.  The builder also keeps one ``_converter``,
-    so ``enumerate_grammar`` calls that share it share its polynomials and
-    sign decisions.
+    The tree route's ``tree_reps`` and the grammar's four kinds are each
+    memoized per (method, subset), so one builder holds both routes' lists
+    and keeps them apart.  Sum-type values on V split uniquely into the
+    product-type summand containing min(V) and the remaining sum; products
+    split into the numerator/denominator factor groups, counted up to
+    sign.  Every kind is built as one member per +/- pair (the ``*_reps``
+    lists), and no signed list is held.  Each class is generated exactly
+    once -- the uniqueness theorems for these decompositions are what the
+    duplicate-freedom tests exercise.  Callers must not mutate a memoized
+    list.  The builder also keeps one ``_converter``, so calls that share
+    it share its polynomials and sign decisions.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, list] = {}
+        self._memo = {}  # (method, vars_) -> list
         self._convert = _converter()
+
+    def tree_candidates(self, vars_: frozenset[int]) -> Iterator[Value]:
+        """Every value the tree walk forms on vars_, in walk order, repeats included.
+
+        The value sets are closed under negation, so the walk combines one
+        representative u per +/- pair on the left with one w on the right:
+        +-(u + w), +-(u - w), +-u*w, +-q and +-1/q, q = u/w, are all the values
+        the signed pairs give, and the mirrored split adds only the reciprocals.
+        A single variable is its own one value.
+        """
+        if len(vars_) == 1:
+            yield _leaf(min(vars_))
+        for left, right in _splits(vars_):  # none for a single variable
+            rights = [(w, _reciprocal(w)) for w in self.tree_reps(right)]
+            for u in self.tree_reps(left):
+                for w, w_inv in rights:
+                    q = _product(u, w_inv)
+                    yield from (*_sums(u, w), _product(u, w), q, _reciprocal(q))
+
+    @_memoized
+    def tree_reps(self, vars_: frozenset[int]) -> list[Value]:
+        """One value per +/- pair of the values of every tree on vars_, the first one reached."""
+        width, seen, reps = 1 << max(vars_), set(), []
+        for r in self.tree_candidates(vars_):
+            n = len(seen)
+            seen.add(_key(r, width))
+            if len(seen) > n:
+                reps.append(r)
+        return reps
 
     @_memoized
     def sum_reps(self, vars_: frozenset[int]) -> list[Value]:

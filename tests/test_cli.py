@@ -396,6 +396,15 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
         main(["canon", "a"])
 
 
+def test_interrupt_exits_130_silently(capsys, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "compute_table", interrupt)
+    code, out, err = run(capsys, "count", "--n", "3000")
+    assert (code, out, err) == (130, "", "")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_2_silently(unbuffered):
     # 618,765 bytes of JSON, about ten pipe buffers: the reader closes the

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from exprcount import (
+    ClassSet,
     Frac,
     Poly,
     canonicalize,
@@ -29,7 +30,6 @@ from exprcount.oracle import (
     _reciprocal,
     _splits,
     _sums,
-    _tree_reps,
     count_tree_classes,
 )
 
@@ -55,9 +55,14 @@ def test_shape_counts_are_catalan():
 
 def test_k1_classes():
     cs = enumerate_tree_classes(1)
+    assert isinstance(cs, frozenset) and cs.classes is cs
+    assert cs == frozenset({X[1], -X[1]})
     assert cs.classes == {X[1], -X[1]}
     assert len(enumerate_tree_classes(1)) == 2
     assert cs == enumerate_tree_classes_literal(1) != enumerate_tree_classes(2)
+    for k in (1, 2, 3):
+        literal, subsets = enumerate_tree_classes_literal(k), enumerate_tree_classes(k)
+        assert type(literal) is type(subsets) is ClassSet and literal == subsets
 
 
 def test_k2_classes_match_manual_listing():
@@ -161,13 +166,21 @@ def test_sum_and_product_types_disjoint_for_k_at_least_2():
 
 
 def test_shared_builder_matches_fresh_builders_in_any_call_order():
+    # one builder memoizes both routes per (method, subset): a memo keyed by
+    # the subset alone would hand one route's lists to the other
     kinds = ("sum", "product", "pi1", "pi2")
     for k in range(1, 5):
+        full = frozenset(range(1, k + 1))
         fresh = {kind: enumerate_grammar(k, kind) for kind in kinds}
+        fresh_tree = _GrammarBuilder().tree_reps(full)
         for order in permutations(kinds):
             builder = _GrammarBuilder()
+            assert builder.tree_reps(full) == fresh_tree
             for kind in order:
                 assert enumerate_grammar(k, kind, builder=builder) == fresh[kind]
+            assert builder.tree_reps(full) == fresh_tree
+        # and the tree route on a builder holding every grammar list
+        assert _grammar_builder(k).tree_reps(full) == fresh_tree
 
 
 def test_grammar_union_equals_tree_classes():
@@ -217,15 +230,12 @@ def test_coefficient_bound_and_disjoint_supports():
         assert _frac(x).variables() == vars_
 
     for k in (1, 2, 3, 4, 5):
-        memo: dict = {}
-        _tree_reps(frozenset(range(1, k + 1)), memo)
-        for vars_, values in memo.items():
-            for x in values:
-                check(x, vars_)
-        lists = _grammar_builder(k, cutoff=5)._memo
+        builder = _grammar_builder(k, cutoff=5)
+        builder.tree_reps(frozenset(range(1, k + 1)))
+        lists = builder._memo
         # one member per sign pair only: a signed list in the memo fails here
         methods = {method.__name__ for method, _ in lists}
-        assert methods == {"sum_reps", "product_reps", "pi1_reps", "pi2_reps"}
+        assert methods == {"tree_reps", "sum_reps", "product_reps", "pi1_reps", "pi2_reps"}
         for (_, vars_), values in lists.items():
             for x in values:
                 check(x, vars_)
@@ -236,9 +246,8 @@ def test_disjoint_ops_equal_the_general_operators():
     # converted, against the gcd-based Frac operators on the converted operands
     full = range(1, 5)
     subsets = [frozenset(c) for m in range(2, 5) for c in combinations(full, m)]
-    memo: dict = {}
-    _tree_reps(frozenset(full), memo)
     builder = _grammar_builder(4)
+    builder.tree_reps(frozenset(full))
 
     def check_sums(x, y):
         fx, fy = _frac(x), _frac(y)
@@ -254,8 +263,8 @@ def test_disjoint_ops_equal_the_general_operators():
 
     for vars_ in subsets:
         for left, right in _splits(vars_):
-            for u in memo[left]:
-                for w in memo[right]:
+            for u in builder.tree_reps(left):
+                for w in builder.tree_reps(right):
                     check_sums(u, w)
                     check_product(u, w)
                     check_quotients(u, w)
@@ -371,8 +380,10 @@ def test_dump_classes_deterministic_and_golden():
 def test_tree_memo_holds_one_value_per_sign_pair():
     for k in range(1, 6):
         full = frozenset(range(1, k + 1))
-        memo: dict = {}
-        _tree_reps(full, memo)
+        builder = _GrammarBuilder()
+        builder.tree_reps(full)
+        assert {method.__name__ for method, _ in builder._memo} == {"tree_reps"}
+        memo = {vars_: reps for (_, vars_), reps in builder._memo.items()}
         assert set(memo) == {
             frozenset(c) for m in range(1, k + 1) for c in combinations(range(1, k + 1), m)
         }
@@ -390,7 +401,7 @@ def test_key_is_one_per_sign_pair():
     # and -f and share one key; distinct pairs have distinct keys.  The walk
     # reaches each pair in one encoding, so only this test sees the others.
     full = frozenset(range(1, 5))
-    reps = _tree_reps(full, {})
+    reps = _GrammarBuilder().tree_reps(full)
     for x in reps:
         nP, nN, dP, dN = x
         encodings = [(nP, nN, dP, dN), (nN, nP, dN, dP), (nN, nP, dP, dN), (nP, nN, dN, dP)]
@@ -412,14 +423,13 @@ def _raw_poly(P, N):
 
 
 def test_converter_matches_canonicalize():
-    # every value both routes memoize at k = 5 (its memos hold every subset
+    # every value both routes memoize at k = 5 (the memo holds every subset
     # of x1..x5, so every value of k <= 5): the converted Frac is the gcd
     # route's canonical pair, its denominator leads positive, and a signed
     # conversion appends its negation
-    memo: dict = {}
-    _tree_reps(frozenset(range(1, 6)), memo)
-    lists = list(memo.values()) + list(_grammar_builder(5, cutoff=5)._memo.values())
-    for x in {x for values in lists for x in values}:
+    builder = _grammar_builder(5, cutoff=5)
+    builder.tree_reps(frozenset(range(1, 6)))
+    for x in {x for values in builder._memo.values() for x in values}:
         nP, nN, dP, dN = x
         f, negation = CONVERT([x], True)
         assert f == canonicalize(_raw_poly(nP, nN), _raw_poly(dP, dN))
