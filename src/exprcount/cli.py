@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from itertools import chain
 
 from .counting import OpCounter, SequenceRow, SequenceTable, compute_table
-from .expressions import ExprSyntaxError, NameMap, evaluate, parse
+from .expressions import ExprSyntaxError, NameMap, _evaluator, evaluate, parse
 from .oracle import DEFAULT_CUTOFF, MAX_K, count_tree_classes
 
 
@@ -147,7 +147,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     names = NameMap()
     left, _ = parse(args.expr1, names)
     right, _ = parse(args.expr2, names)
-    if evaluate(left) == evaluate(right):
+    # one memo for both sides: a right side that rewrites the left in a few
+    # places shares most of its subexpressions' values
+    value = _evaluator()
+    if value(left) == value(right):
         print("equivalent")
         return 0
     print("inequivalent")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Callable
 
 from .rational import Frac
 
@@ -152,29 +153,36 @@ class NameMap:
         return self._by_index.get(index, f"x{index}")
 
 
-# One match per token, an identifier or an operator character; group 2
-# catches any other visible character.  Whitespace only separates tokens.
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[-+*/()])|(\S))")
+# One match per token, an identifier or an operator character.  Text that
+# _VALID_RE does not match in full holds some other visible character, the
+# first one past its match; whitespace only separates tokens.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[-+*/()]")
+_VALID_RE = re.compile(r"(?:\s*(?:[A-Za-z_][A-Za-z0-9_]*|[-+*/()]))*\s*")
 
 
 class _Parser:
     def __init__(self, text: str, names: NameMap):
+        end = _VALID_RE.match(text).end()
+        if end < len(text):
+            raise ExprSyntaxError(f"unexpected character {text[end]!r}", end)
+        self.text = text
         self.names = names
-        self.tokens: list[tuple[str, int]] = []  # (text, 0-based position)
-        for m in _TOKEN_RE.finditer(text):
-            if m[2] is not None:
-                raise ExprSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
-            self.tokens.append((m[1], m.start(1)))
-        self.tokens.append(("", len(text)))  # text "" ends the input
+        self.tokens: list[str] = _TOKEN_RE.findall(text)
+        self.tokens.append("")  # "" ends the input
         self.i = 0
+
+    def error(self, message: str, i: int) -> ExprSyntaxError:
+        """A syntax error at token i; its text position is found only now."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return ExprSyntaxError(message, starts[i] if i < len(starts) else len(self.text))
 
     def parse(self) -> ExprTree:
         if len(self.tokens) == 1:
             raise ExprSyntaxError("empty input", 0)
         tree, _ = self.binary(_LOOSEST, 0)
-        text, pos = self.tokens[self.i]
+        text = self.tokens[self.i]
         if text:
-            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+            raise self.error(f"unexpected token {text!r}", self.i)
         return tree
 
     # binary and factor take the nesting depth of the current position and
@@ -188,8 +196,8 @@ class _Parser:
         """
         node, height = self.factor(depth)
         while True:
-            text, pos = self.tokens[self.i]
-            cls, op_prec = _BY_SYMBOL.get(text, (None, 0))  # 0: not an operator
+            op = self.i
+            cls, op_prec = _BY_SYMBOL.get(self.tokens[op], (None, 0))  # 0: not an operator
             if op_prec < prec:
                 return node, height
             self.i += 1
@@ -198,35 +206,34 @@ class _Parser:
             else:
                 rhs, rhs_height = self.binary(op_prec + 1, depth)
             node = cls(node, rhs)
-            height = _deeper(max(height, rhs_height), pos)
+            height = self._deeper(max(height, rhs_height), op)
 
     def factor(self, depth: int) -> tuple[ExprTree, int]:
-        text, pos = self.tokens[self.i]
+        at = self.i
+        text = self.tokens[at]
         self.i += 1
         if text.isidentifier():
             return Leaf(self.names.index_for(text)), 0
         if text == "-":
-            child, height = self.factor(_deeper(depth, pos))
-            return Neg(child), _deeper(height, pos)
+            child, height = self.factor(self._deeper(depth, at))
+            return Neg(child), self._deeper(height, at)
         if text == "(":
-            node, height = self.binary(_LOOSEST, _deeper(depth, pos))
-            closing, at = self.tokens[self.i]
+            node, height = self.binary(_LOOSEST, self._deeper(depth, at))
+            closing = self.tokens[self.i]
             if closing != ")":
-                raise ExprSyntaxError(
-                    f"expected ')', got {closing!r}" if closing else "missing ')'", at
-                )
+                message = f"expected ')', got {closing!r}" if closing else "missing ')'"
+                raise self.error(message, self.i)
             self.i += 1
             return node, height
         if not text:
-            raise ExprSyntaxError("unexpected end of input", pos)
-        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+            raise self.error("unexpected end of input", at)
+        raise self.error(f"unexpected token {text!r}", at)
 
-
-def _deeper(level: int, pos: int) -> int:
-    """One level below ``level``; raises past MAX_DEPTH, blaming position ``pos``."""
-    if level >= MAX_DEPTH:
-        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
-    return level + 1
+    def _deeper(self, level: int, i: int) -> int:
+        """One level below ``level``; raises past MAX_DEPTH, blaming token i."""
+        if level >= MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", i)
+        return level + 1
 
 
 def parse(text: str, names: NameMap | None = None) -> tuple[ExprTree, NameMap]:
@@ -291,9 +298,46 @@ def evaluate(tree: ExprTree) -> Frac:
     Raises ZeroDivisionError when a divisor evaluates to the zero fraction,
     which can only happen for inputs with repeated variables.
     """
-    if isinstance(tree, Leaf):
-        return Frac.variable(tree.index)
-    if isinstance(tree, Neg):
-        return -evaluate(tree.child)
-    _, _, apply = _BINARY[type(tree)]
-    return apply(evaluate(tree.left), evaluate(tree.right))
+    return _evaluator()(tree)
+
+
+def _evaluator() -> Callable[[ExprTree], Frac]:
+    """``evaluate`` with a memo shared by every tree it is given.
+
+    Each distinct operation is computed once: a leaf per index, a negation
+    per child value, a binary node per operator and operand values (either
+    order for ``+`` and ``*``).  Values are keyed by ``id``, which stays
+    unique because the memo holds every value it returns.  A computed
+    negation also records its own negation, so ``-(-v)`` is ``v`` itself.
+    The memo lives as long as the returned function; one per call keeps it
+    from outliving that call.
+    """
+    memo: dict[tuple, Frac] = {}
+
+    def value(node: ExprTree) -> Frac:
+        cls = type(node)
+        if cls is Leaf:
+            key = (Leaf, node.index)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = Frac.variable(node.index)
+            return got
+        if cls is Neg:
+            child = value(node.child)
+            key = (Neg, id(child))
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = -child
+                memo[Neg, id(got)] = child
+            return got
+        left, right = value(node.left), value(node.right)
+        a, b = id(left), id(right)
+        if a > b and (cls is Add or cls is Mul):
+            a, b = b, a
+        key = (cls, a, b)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _BINARY[cls][2](left, right)
+        return got
+
+    return value

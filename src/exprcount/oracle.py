@@ -86,7 +86,7 @@ took 2.2 s at a 69 MB peak RSS, and ``--max-k 7`` 104 s at 2.20 GB.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from functools import cache, lru_cache, wraps
+from functools import cache, cached_property, lru_cache, wraps
 from itertools import combinations, permutations, product
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
@@ -328,13 +328,17 @@ class _GrammarBuilder:
     lists), and no signed list is held.  Each class is generated exactly
     once -- the uniqueness theorems for these decompositions are what the
     duplicate-freedom tests exercise.  Callers must not mutate a memoized
-    list.  The builder also keeps one ``_converter``, so calls that share
-    it share its polynomials and sign decisions.
+    list.  The builder also keeps one ``_converter``, built on first use
+    (``count_tree_classes`` never needs one), so calls that share the
+    builder share its polynomials and sign decisions.
     """
 
     def __init__(self) -> None:
         self._memo = {}  # (method, vars_) -> list
-        self._convert = _converter()
+
+    @cached_property
+    def _convert(self) -> Callable[[list[Value], bool], list[Frac]]:
+        return _converter()
 
     def tree_candidates(self, vars_: frozenset[int]) -> Iterator[Value]:
         """Every value the tree walk forms on vars_, in walk order, repeats included.

@@ -131,6 +131,9 @@ class Poly:
         return frozenset(out)
 
     def leading_monomial(self) -> Monomial:
+        if len(self.terms) == 1:
+            [m] = self.terms
+            return m
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return min(self.terms, key=_grlex_desc_key)
@@ -178,6 +181,12 @@ class Poly:
         return Poly._raw({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        # Polys are immutable, so a product with the constant 1 can be the
+        # other operand itself.
+        if self.terms == ONE.terms:
+            return other
+        if other.terms == ONE.terms:
+            return self
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -247,6 +256,8 @@ def divexact(p: Poly, d: Poly) -> Poly:
     since cancelled are skipped, and the leading term is cancelled by
     popping it, so each step costs the divisor's terms plus a heap operation.
     """
+    if d is ONE:
+        return p
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if len(d.terms) == 1:
@@ -363,7 +374,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if p.is_constant() or q.is_constant() or not p.variables() & q.variables():
         # a divisor of p only involves variables of p, so the gcd of a
         # constant or of variable-disjoint polynomials is an integer
-        return Poly.const(math.gcd(p.icontent(), q.icontent()))
+        g = math.gcd(p.icontent(), q.icontent())
+        return ONE if g == 1 else Poly.const(g)
     # gcd(p, q) = gcd of the integer contents * gcd of the monomial contents
     # * gcd of what is left, which no integer > 1 and no variable divides
     cp, cq = p.icontent(), q.icontent()

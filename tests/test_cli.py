@@ -464,8 +464,8 @@ def test_closed_stderr_keeps_the_documented_exit_code(capsys, monkeypatch, argv,
 
 @pytest.mark.parametrize(
     "argv",
-    [("canon", "a/(b-b)"), ("equiv", "a/(a-a)", "a")],
-    ids=["canon", "equiv"],
+    [("canon", "a/(b-b)"), ("equiv", "a/(a-a)", "a"), ("equiv", "b + (a-a)", "b/(a-a)")],
+    ids=["canon", "equiv", "equiv-right-side"],
 )
 def test_zero_divisor_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -18,7 +18,7 @@ from exprcount import (
     parse,
     render,
 )
-from exprcount.expressions import MAX_DEPTH
+from exprcount.expressions import MAX_DEPTH, _evaluator
 from genlib import random_tree
 
 
@@ -102,6 +102,40 @@ def test_parse_errors_carry_position():
             parse(text)
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+
+DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("a+", "unexpected end of input", 2),
+        ("a + ", "unexpected end of input", 4),
+        ("(a", "missing ')'", 2),
+        ("a + $", "unexpected character '$'", 4),
+        ("(a*b) ? c", "unexpected character '?'", 6),
+        ("1a", "unexpected character '1'", 0),
+        ("a1 + 2b", "unexpected character '2'", 5),
+        ("x + \u00f1ame", "unexpected character '\u00f1'", 4),
+        ("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), DEEP, MAX_DEPTH),
+        ("( " * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), DEEP, 2 * MAX_DEPTH),
+        ("-" * (MAX_DEPTH + 1) + "a", DEEP, MAX_DEPTH),
+        ("-(" * (MAX_DEPTH // 2) + "-a" + ")" * (MAX_DEPTH // 2), DEEP, MAX_DEPTH),
+        # a tree MAX_DEPTH + 1 operators high: the error names the last '*'
+        ("a" + "*-a" * MAX_DEPTH, DEEP, 3 * MAX_DEPTH - 2),
+    ],
+    ids=[
+        "end", "end-after-space", "unclosed", "bad-char-after-prefix", "bad-char-mid",
+        "leading-digit", "digit-after-space", "non-ascii-name", "deep-parens",
+        "deep-spaced-parens", "deep-minus", "deep-minus-parens", "tall-tree",
+    ],
+)
+def test_every_parse_error_keeps_its_message_and_position(text, message, position):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 def test_name_map_first_occurrence_order():
@@ -212,6 +246,60 @@ def test_evaluate_distinguishes():
     tl, _ = parse("a+b", names)
     tr, _ = parse("a*b", names)
     assert evaluate(tl) != evaluate(tr)
+
+
+def _mirror(tree):
+    """The tree with the operands of every + and * swapped: the same value."""
+    if isinstance(tree, Leaf):
+        return tree
+    if isinstance(tree, Neg):
+        return Neg(_mirror(tree.child))
+    left, right = _mirror(tree.left), _mirror(tree.right)
+    return type(tree)(right, left) if isinstance(tree, (Add, Mul)) else type(tree)(left, right)
+
+
+def test_one_evaluator_computes_each_operation_once():
+    value = _evaluator()
+    a, b = Leaf(1), Leaf(2)
+    assert value(Mul(a, b)) is value(Mul(b, a))
+    assert value(Add(a, b)) is value(Add(b, a))
+    assert value(Sub(a, b)) is not value(Sub(b, a))
+    assert value(Div(a, b)) is not value(Div(b, a))
+    assert value(Neg(Neg(a))) is value(a)
+    assert value(Neg(Neg(Add(b, a)))) is value(Add(a, b))
+    # a fresh evaluator shares nothing with the first
+    assert _evaluator()(Mul(a, b)) is not value(Mul(a, b))
+
+
+def test_one_evaluator_equals_separate_evaluations():
+    rnd = random.Random(28)
+    zero_divisions = 0
+    for _ in range(400):
+        tree = random_tree(rnd, 5)
+        mirror = _mirror(tree)
+        value = _evaluator()
+        try:
+            expected = evaluate(tree)
+        except ZeroDivisionError:
+            zero_divisions += 1
+            for t in (tree, mirror):
+                with pytest.raises(ZeroDivisionError):
+                    value(t)
+            continue
+        assert evaluate(mirror) == expected
+        assert value(tree) == expected
+        assert value(mirror) is value(tree)
+    assert 0 < zero_divisions < 400
+
+
+def test_one_evaluator_raises_for_a_zero_divisor_in_a_later_tree():
+    names = NameMap()
+    left, _ = parse("b + (a - a)", names)
+    right, _ = parse("b / (a - a)", names)
+    value = _evaluator()
+    assert value(left) == evaluate(left) == evaluate(Leaf(1))
+    with pytest.raises(ZeroDivisionError):
+        value(right)
 
 
 def test_repeated_variables_allowed_and_zero_division_raises():

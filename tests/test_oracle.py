@@ -492,6 +492,16 @@ def test_grammar_round_set_hashes_each_polynomial_once(monkeypatch):
     assert computed["terms"] == len(distinct) <= 6635
 
 
+def test_count_tree_classes_builds_no_converter(monkeypatch):
+    def refuse():
+        raise AssertionError("count_tree_classes built a converter")
+
+    monkeypatch.setattr(oracle, "_converter", refuse)
+    assert count_tree_classes(4) == 1466
+    with pytest.raises(AssertionError, match="built a converter"):
+        enumerate_tree_classes(2)
+
+
 def test_count_tree_classes_at_k6():
     assert count_tree_classes(6, cutoff=6) == compute_table(6).row(6).A == 887650
 

@@ -47,6 +47,21 @@ def test_grlex_leading_term():
     assert q.leading_monomial() == ((1, 1), (3, 1))
     with pytest.raises(ValueError):
         Poly.const(0).leading_monomial()
+    assert (Poly.const(-3) * x2 * x3).leading_monomial() == ((2, 1), (3, 1))
+    assert ONE.leading_monomial() == ()
+
+
+def test_unit_arithmetic_returns_an_operand():
+    # polys are immutable, so a product with 1, a quotient by ONE and the
+    # gcd of variable-disjoint inputs hand back existing objects
+    p = x1 * x2 - x3 + Poly.const(2)
+    assert p * ONE is p and ONE * p is p
+    assert Poly.const(1) * p is p and p * Poly.const(1) is p
+    assert divexact(p, ONE) is p
+    assert poly_gcd(x1, x2) is ONE
+    assert poly_gcd(Poly.const(3), x1) is ONE
+    assert poly_gcd(Poly.const(4), Poly.const(6)) == Poly.const(2)
+    assert (p * Poly.const(-1)) == -p
 
 
 def test_sub_equals_adding_the_negation():
