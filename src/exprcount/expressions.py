@@ -153,11 +153,12 @@ class NameMap:
         return self._by_index.get(index, f"x{index}")
 
 
-# One match per token, an identifier or an operator character.  Text that
-# _VALID_RE does not match in full holds some other visible character, the
-# first one past its match; whitespace only separates tokens.
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[-+*/()]")
-_VALID_RE = re.compile(r"(?:\s*(?:[A-Za-z_][A-Za-z0-9_]*|[-+*/()]))*\s*")
+# A token is an identifier or an operator character; whitespace only
+# separates tokens.  Text that _VALID_RE does not match in full holds some
+# other visible character, the first one past its match.
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|[-+*/()]"
+_TOKEN_RE = re.compile(_TOKEN)
+_VALID_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 
 class _Parser:
