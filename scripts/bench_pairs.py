@@ -3,20 +3,23 @@
 Usage, from anywhere inside a git checkout::
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload equiv \\
-        --seeds 101 102 103 --pairs 6 [--seconds 25] [--out BENCH_N.json]
+        --seeds 101 102 103 --pairs 6 [--out BENCH_N.json]
 
 Every run gets a fresh copy of its side: ``git archive`` extracts the
 revision's ``src/``, ``perfbench/``, ``BENCHMARK.json`` and
 ``pyproject.toml`` into a new temporary directory, and
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs there
-with no ``__pycache__``, ``PYTHONDONTWRITEBYTECODE=1`` and no
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs there,
+T being the ``run_seconds`` of that copy's ``BENCHMARK.json``, with no
+``__pycache__``, ``PYTHONDONTWRITEBYTECODE=1`` and no
 ``PYTHONPATH``.  One process runs at a time.  Pair i runs at seed
 ``seeds[i % len(seeds)]``; even pairs run the parent first, odd pairs the
 change first, so a drift of the host's speed favours neither side.
 
-The output file holds ``summary`` and ``runs``, each keyed by workload;
-other keys of an existing file, and other workloads, are kept, so one file
-can collect several workloads.  It is rewritten after every pair.
+The output file holds ``commits``, and ``summary`` and ``runs``, each
+keyed by workload; other keys of an existing file, and other workloads,
+are kept, so one file can collect several workloads of one commit pair.
+An existing file that names another commit pair is refused before any
+run starts.  The file is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ def checkout(commit: str, into: Path) -> None:
         shutil.rmtree(cache)
 
 
-def run_once(commit: str, workload: str, seed: int, seconds: float, workdir: str | None) -> dict:
+def run_once(commit: str, workload: str, seed: int, workdir: str | None) -> dict:
     """One perfbench run in a fresh copy of ``commit``: rc, attempted, failed, metrics."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-", dir=workdir) as tmp:
         copy = Path(tmp)
         checkout(commit, copy)
+        seconds = json.loads((copy / "BENCHMARK.json").read_text())["run_seconds"]
         argv = [
             sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -120,6 +124,14 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def load(out: Path, commits: dict[str, str]) -> dict:
+    """The document to update: a new one, or ``out``'s if it names ``commits``."""
+    doc = json.loads(out.read_text()) if out.exists() else {"commits": commits}
+    if doc.get("commits") != commits:
+        raise SystemExit(f"error: {out} does not hold runs of {commits}")
+    return doc
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="git revision of the parent side")
@@ -127,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workload", required=True, choices=("count", "verify", "equiv"))
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--out", type=Path, help="JSON file to write or update (default: stdout)")
     p.add_argument("--workdir", help="directory for the temporary copies (default: the system's)")
     args = p.parse_args(argv)
@@ -135,15 +146,14 @@ def main(argv: list[str] | None = None) -> int:
         p.error("--pairs must be at least 1")
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
 
-    doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
+    doc = load(args.out, commits) if args.out else {"commits": commits}
     runs: list[dict] = []
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            record = run_once(commits[side], args.workload, seed, args.seconds, args.workdir)
+            record = run_once(commits[side], args.workload, seed, args.workdir)
             runs.append({"pair": i, "seed": seed, "side": side, **record})
             print(json.dumps(runs[-1]), file=sys.stderr)
-        doc.setdefault("commits", {}).update(commits)
         doc.setdefault("summary", {})[args.workload] = summarize(runs)
         doc.setdefault("runs", {})[args.workload] = runs
         text = json.dumps(doc, indent=1) + "\n"

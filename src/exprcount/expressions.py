@@ -296,8 +296,9 @@ def eliminate_subtraction(tree: ExprTree) -> ExprTree:
 def evaluate(tree: ExprTree) -> Frac:
     """Value of the tree in Z(X), as a canonical fraction.
 
-    Raises ZeroDivisionError when a divisor evaluates to the zero fraction,
-    which can only happen for inputs with repeated variables.
+    Each distinct operation is computed once, through a memo that lasts for
+    this one call.  Raises ZeroDivisionError when a divisor evaluates to the
+    zero fraction, which can only happen for inputs with repeated variables.
     """
     return _evaluator()(tree)
 
@@ -310,8 +311,8 @@ def _evaluator() -> Callable[[ExprTree], Frac]:
     order for ``+`` and ``*``).  Values are keyed by ``id``, which stays
     unique because the memo holds every value it returns.  A computed
     negation also records its own negation, so ``-(-v)`` is ``v`` itself.
-    The memo lives as long as the returned function; one per call keeps it
-    from outliving that call.
+    The memo lives as long as the returned function; ``evaluate`` and the
+    ``equiv`` command make one per call.
     """
     memo: dict[tuple, Frac] = {}
 

@@ -1,7 +1,10 @@
-"""The summary that scripts/bench_pairs.py writes, on fixed numbers."""
+"""The summary that scripts/bench_pairs.py writes, on fixed numbers, and the file it updates."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -50,3 +53,15 @@ def test_summary_skips_an_unfinished_pair_and_has_no_iqr_for_one_pair():
         "parent_iqr": None,
         "change_lower_pairs": "0 of 1",
     }
+
+
+def test_an_existing_file_is_updated_only_for_its_own_commit_pair(tmp_path):
+    commits = {"parent": "a" * 40, "change": "b" * 40}
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.load(out, commits) == {"commits": commits}
+    out.write_text(json.dumps({"commits": commits, "summary": {"verify": {}}}))
+    assert bench_pairs.load(out, commits)["summary"] == {"verify": {}}
+    for other in ({"parent": "a" * 40, "change": "c" * 40}, None):
+        out.write_text(json.dumps({"commits": other, "summary": {"verify": {}}}))
+        with pytest.raises(SystemExit, match="does not hold runs of"):
+            bench_pairs.load(out, commits)

@@ -302,6 +302,15 @@ def test_one_evaluator_raises_for_a_zero_divisor_in_a_later_tree():
         value(right)
 
 
+def test_a_zero_divisor_taken_from_the_memo_still_raises():
+    # the divisor a - a is computed for the left operand and reused by the right
+    tree, _ = parse("(b + (a - a)) + b / (a - a)")
+    left, _ = parse("b + (a - a)")
+    assert evaluate(tree.left) == evaluate(left) == evaluate(Leaf(1))
+    with pytest.raises(ZeroDivisionError):
+        evaluate(tree)
+
+
 def test_repeated_variables_allowed_and_zero_division_raises():
     tree, _ = parse("a*a + a")
     value = evaluate(tree)
