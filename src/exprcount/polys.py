@@ -13,7 +13,12 @@ comparing exponents of the lowest-indexed variable first; its one sort
 key is ``_grlex_desc_key``.
 
 ``poly_gcd`` is exact: after cheap exits for trivial and monomial inputs it
-tries the heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
+takes out the contents, and settles an input of degree 1 in some variable
+whose coefficient or remaining part is one term with one trial division:
+such an input is irreducible (any factor free of that variable divides a
+one-term polynomial, so it is a monomial times an integer, and the
+contents are gone), so the gcd is the input or 1.  Otherwise it tries the
+heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
 interpolate the gcd or a cofactor), accepts a candidate only when it
 divides both inputs, and falls back to a primitive pseudo-remainder
 sequence when every evaluation point fails.  ``divexact`` divides by one
@@ -359,10 +364,16 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
     Cheap exits come first: a zero input, inputs with no variable in
     common (a constant among them), and an input that is one monomial.
-    Otherwise the integer and monomial contents are taken out, and the
-    heuristic gcd (``_gcdheu``) tries up to ``GCDHEU_POINTS`` evaluation
-    points on what is left, returning a candidate only once ``divexact``
-    has divided both by it.
+    Otherwise the integer and monomial contents are taken out.  If what is
+    left of the input with fewer terms, or else of the other, is
+    f = a*x_v + b with a and b free of x_v and one of them one term, f is
+    irreducible, and one trial division decides between gcd f and gcd 1:
+    a factorization f = g*h has a factor, say h, of degree 0 in x_v; h
+    divides a and b, so it divides a one-term polynomial and is an integer
+    times a monomial; f has integer content 1 and no monomial content, so
+    h = +/-1.  Any other input goes to the heuristic gcd (``_gcdheu``),
+    which tries up to ``GCDHEU_POINTS`` evaluation points, returning a
+    candidate only once ``divexact`` has divided both by it.
     If every point fails, a primitive pseudo-remainder sequence
     (``_prs_gcd``) computes the gcd.  The result has a positive graded-lex
     leading coefficient; gcd(p, 0) = +/-p normalized, gcd(0, 0) = 0.
@@ -385,6 +396,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return c
     p = divexact(p, Poly._raw({mp: cp}))
     q = divexact(q, Poly._raw({mq: cq}))
+    # the input with fewer terms first: the cheaper one to test and divide by
+    pair = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
+    for f, other in (pair, pair[::-1]):
+        if _linear_irreducible(f):
+            return normalize_sign(c * f) if _quotient(other, f) is not None else c
     g = _gcdheu(p, q, max(p.variables() | q.variables()))
     if g is None:
         g = _prs_gcd(p, q)
@@ -401,6 +417,24 @@ def _monomial_content(monomials: Iterable[Monomial]) -> Monomial:
         have = dict(m)
         exps = {v: min(e, have[v]) for v, e in exps.items() if v in have}
     return tuple(exps.items())
+
+
+def _linear_irreducible(f: Poly) -> bool:
+    """Whether f = a*x_v + b for some x_v, a and b free of x_v, one of them one term.
+
+    With no integer or monomial content such an f is irreducible; the
+    proof is in ``poly_gcd``.
+    """
+    n = len(f.terms)
+    counts: dict[int, int] = {}
+    squared: set[int] = set()
+    for m in f.terms:
+        for v, e in m:
+            counts[v] = counts.get(v, 0) + 1
+            if e > 1:
+                squared.add(v)
+    # x_v is in the k terms of a*x_v and missing from the n - k terms of b
+    return any((k == 1 or k == n - 1) and v not in squared for v, k in counts.items())
 
 
 def _gcdheu(p: Poly, q: Poly, v: int) -> Poly | None:

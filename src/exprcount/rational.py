@@ -114,7 +114,7 @@ def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> Frac:
     b = d = 1 when g = 1; else g = b (both lead positive), b/g = d/g = 1
     and h = gcd(0, g) = g.  Either way the pair is (0, 1).
     """
-    g = poly_gcd(b, d)
+    g = _gcd(b, d)
     if g == ONE:
         return Frac._raw(a * d + c * b, b * d)
     b0 = divexact(b, g)
@@ -130,8 +130,13 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
     Only a and d, or c and b, can share a factor, so one gcd cancels each.
     A quotient (a/b)/(c/d) is the product with the divisor's pair swapped.
     """
-    g, h = poly_gcd(a, d), poly_gcd(c, b)
+    g, h = _gcd(a, d), _gcd(c, b)
     return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
+
+
+def _gcd(p: Poly, q: Poly) -> Poly:
+    """poly_gcd(p, q), with no call when either is the shared polynomial 1."""
+    return ONE if p is ONE or q is ONE else poly_gcd(p, q)
 
 
 def _leads_negative(den: Poly) -> bool:
