@@ -176,6 +176,51 @@ def _no_prs(p, q):
     raise AssertionError("heuristic gcd failed at every point")
 
 
+def _gcdheu_spy(monkeypatch) -> list:
+    """Record every call of _gcdheu, recursive ones included."""
+    calls = []
+    gcdheu = polys._gcdheu
+    monkeypatch.setattr(polys, "_gcdheu", lambda p, q, v: calls.append((p, q)) or gcdheu(p, q, v))
+    return calls
+
+
+def _primitive(p):
+    """p without its integer and monomial contents, as poly_gcd takes them out."""
+    return divexact(p, Poly._raw({polys._monomial_content(p.terms): p.icontent()}))
+
+
+def test_linear_exit_criterion():
+    one = Poly.const(1)
+    # degree 1 in x1, but a = x2 + 1 and b = x2 + 1 both have two terms
+    assert not polys._linear_irreducible((x1 + one) * (x2 + one))
+    assert polys._linear_irreducible(x1 * x3 + x2)
+    assert not polys._linear_irreducible(x1 * x1 + x2 * x2)  # no variable of degree 1
+    # a = x2^2 is one term; b = x2 + 3 has two
+    assert polys._linear_irreducible(x1 * x2 * x2 + x2 + Poly.const(3))
+    # b = x2*x3 is one term, a = x2 + x3 has two
+    assert polys._linear_irreducible(x1 * x2 + x1 * x3 + x2 * x3)
+
+
+def test_linear_exit_divides_or_is_coprime(monkeypatch):
+    calls = _gcdheu_spy(monkeypatch)
+    f = x1 * x3 + x2
+    cof = x1 * x1 + x2 * x3 + Poly.const(3)
+    six, four = Poly.const(6), Poly.const(4)
+    # planted: the linear input divides the other, so it is the gcd
+    assert poly_gcd(f * cof, f) == f
+    assert poly_gcd(-f, f * cof) == f
+    # contents are taken out first and multiply the answer back
+    assert poly_gcd(six * x1 * f * cof, four * x1 * x2 * f) == Poly.const(2) * x1 * f
+    # coprime: the gcd is the contents' gcd
+    assert poly_gcd(f * f, cof) == ONE
+    assert poly_gcd(six * x2 * x3 * cof, four * x3 * f) == Poly.const(2) * x3
+    assert calls == []
+    # neither input is linear with a one-term part: GCDHEU runs
+    g = (x1 + ONE) * (x2 + ONE)
+    assert poly_gcd(g * (x1 - x2), g * (x1 + x3)) == g
+    assert calls
+
+
 def test_heuristic_and_prs_agree_on_planted_factors(monkeypatch):
     rnd = random.Random(17)
     pairs = []
@@ -184,9 +229,30 @@ def test_heuristic_and_prs_agree_on_planted_factors(monkeypatch):
         a = random_poly(rnd, [1, 2, 3], nonzero=True)
         b = random_poly(rnd, [1, 2, 3], nonzero=True)
         pairs.append((common * a, common * b))
+    # Pairs past the exits for zero, constant, variable-disjoint and one-term
+    # inputs reach GCDHEU unless the linear exit settles them; GCDHEU is
+    # checked against the PRS directly on the primitive parts of those.
+    past_exits = {}
+    for i, (a, b) in enumerate(pairs):
+        if len(a.terms) > 1 and len(b.terms) > 1 and a.variables() & b.variables():
+            p, q = _primitive(a), _primitive(b)
+            past_exits[i] = polys._linear_irreducible(p) or polys._linear_irreducible(q), p, q
+    calls = _gcdheu_spy(monkeypatch)
+    heuristic, reached, direct = [], [], {}
     with monkeypatch.context() as m:
         m.setattr(polys, "_prs_gcd", _no_prs)
-        heuristic = [poly_gcd(a, b) for a, b in pairs]
+        for a, b in pairs:
+            calls.clear()
+            heuristic.append(poly_gcd(a, b))
+            reached.append(bool(calls))
+        for i, (linear, p, q) in past_exits.items():
+            if linear:
+                direct[i] = normalize_sign(polys._gcdheu(p, q, max(p.variables() | q.variables())))
+    assert reached == [i in past_exits and not past_exits[i][0] for i in range(len(pairs))]
+    assert (sum(reached), len(direct)) == (88, 119)
+    for i, h in direct.items():
+        _, p, q = past_exits[i]
+        assert h == normalize_sign(polys._prs_gcd(p, q)) == _primitive(heuristic[i])
     monkeypatch.setattr(polys, "GCDHEU_POINTS", 0)
     assert [poly_gcd(a, b) for a, b in pairs] == heuristic
 
@@ -197,14 +263,22 @@ def test_heuristic_needs_one_point_when_a_cofactor_is_a_monomial(monkeypatch):
     # once the monomial contents are taken out.
     monkeypatch.setattr(polys, "GCDHEU_POINTS", 1)
     monkeypatch.setattr(polys, "_prs_gcd", _no_prs)
+    calls = _gcdheu_spy(monkeypatch)
     rnd = random.Random(19)
+    reached = 0
     for _ in range(20):
         g = random_poly(rnd, [1, 2, 3, 4, 5], max_terms=4, max_exp=3, max_coeff=10**6, nonzero=True)
         g = g * g
         a = random_poly(rnd, [1, 2, 3, 4, 5], nonzero=True)
         expected = normalize_sign(g)
-        assert poly_gcd(g * a, g) == expected
-        assert poly_gcd(g * x1 * x1 * x3, g * x2 * Poly.variable(5)) == expected
+        for p, q in ((g * a, g), (g * x1 * x1 * x3, g * x2 * Poly.variable(5))):
+            calls.clear()
+            assert poly_gcd(p, q) == expected
+            # a square has no variable of degree 1, so only a one-term g
+            # (a one-term input) keeps the pair away from GCDHEU
+            assert bool(calls) == (len(g.terms) > 1)
+            reached += bool(calls)
+    assert reached == 30
 
 
 def test_prs_takes_as_many_contents_in_either_argument_order(monkeypatch):

@@ -157,3 +157,27 @@ def test_operators_match_plain_cross_multiplication():
         assert f * g == canonicalize(f.num * g.num, f.den * g.den)
         if not g.is_zero():
             assert f / g == canonicalize(f.num * g.den, f.den * g.num)
+
+
+def test_no_gcd_with_the_shared_one(monkeypatch):
+    from exprcount import rational
+
+    gcds = []
+    poly_gcd = rational.poly_gcd
+    monkeypatch.setattr(rational, "poly_gcd", lambda p, q: gcds.append((p, q)) or poly_gcd(p, q))
+    p, q = f1 * f2 + f3, f1 - f2
+    assert p.den is ONE and q.den is ONE
+    assert (p + q, p - q, p * q) == (
+        Frac._raw(x1 * x2 + x3 + x1 - x2, ONE),
+        Frac._raw(x1 * x2 + x3 - x1 + x2, ONE),
+        Frac._raw((x1 * x2 + x3) * (x1 - x2), ONE),
+    )
+    assert gcds == []
+    # p / q: of the gcds (p.num, q.num) and (1, 1) only the first runs
+    r = p / q
+    assert r.num == x1 * x2 + x3 and r.den == x1 - x2
+    assert gcds == [(p.num, q.num)]
+    # (1/q) * q: of the gcds (1, 1) and (q.num, q.num) only the second runs
+    gcds.clear()
+    assert Frac._raw(ONE, q.num) * q == Frac.const(1)
+    assert gcds == [(q.num, q.num)]

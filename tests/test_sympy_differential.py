@@ -68,6 +68,44 @@ def test_prs_fallback_matches_sympy_up_to_sign(monkeypatch):
     _check_gcds_against_sympy()
 
 
+def _linear_pairs(seed, count):
+    # f = a*x_v + b with a and b free of x_v and one of them one term, and
+    # either a multiple of f or a random polynomial against it, in either order
+    rnd = random.Random(seed)
+    for _ in range(count):
+        v = rnd.randint(1, 4)
+        rest = [u for u in range(1, 5) if u != v]
+        one_term = random_poly(rnd, rest, max_terms=1, nonzero=True)
+        other_part = random_poly(rnd, rest, nonzero=True)
+        a, b = (one_term, other_part) if rnd.random() < 0.5 else (other_part, one_term)
+        f = a * polys.Poly.variable(v) + b
+        if rnd.random() < 0.5:
+            g = f * random_poly(rnd, [1, 2, 3, 4], nonzero=True)
+        else:
+            g = random_poly(rnd, [1, 2, 3, 4], max_terms=4, nonzero=True)
+        yield (f, g) if rnd.random() < 0.5 else (g, f)
+
+
+def test_linear_exit_matches_sympy_and_the_prs(monkeypatch):
+    calls = []
+    gcdheu = polys._gcdheu
+    monkeypatch.setattr(polys, "_gcdheu", lambda p, q, v: calls.append(v) or gcdheu(p, q, v))
+    branches = {"divides": 0, "coprime": 0}
+    for a, b in _linear_pairs(404, 700):
+        calls.clear()
+        ours = poly_gcd(a, b)
+        if len(a.terms) > 1 and len(b.terms) > 1 and a.variables() & b.variables():
+            # past the earlier exits the linear input decides the pair: the
+            # gcd is it (several terms) or the contents' gcd (one term)
+            assert calls == []
+            branches["divides" if len(ours.terms) > 1 else "coprime"] += 1
+        theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+        assert to_sympy(ours) in (theirs, -theirs)
+        assert ours == polys.normalize_sign(polys._prs_gcd(a, b))
+    assert sum(branches.values()) >= 500
+    assert min(branches.values()) >= 200, branches
+
+
 def test_canonicalize_matches_sympy_cancel():
     for n, d in _pairs(202, 200):
         f = canonicalize(n, d)
