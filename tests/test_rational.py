@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from exprcount import Frac, Poly, canonicalize
+from exprcount import Frac, Poly, canonicalize, rational
 from exprcount.polys import ONE
 from genlib import random_fraction
 
@@ -160,8 +160,6 @@ def test_operators_match_plain_cross_multiplication():
 
 
 def test_no_gcd_with_the_shared_one(monkeypatch):
-    from exprcount import rational
-
     gcds = []
     poly_gcd = rational.poly_gcd
     monkeypatch.setattr(rational, "poly_gcd", lambda p, q: gcds.append((p, q)) or poly_gcd(p, q))
