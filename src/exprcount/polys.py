@@ -17,7 +17,9 @@ takes out the contents, and settles an input of degree 1 in some variable
 whose coefficient or remaining part is one term with one trial division:
 such an input is irreducible (any factor free of that variable divides a
 one-term polynomial, so it is a monomial times an integer, and the
-contents are gone), so the gcd is the input or 1.  Otherwise it tries the
+contents are gone), so the gcd is the input or 1.  That division stops
+once its quotient has as many terms as the two inputs together, which
+bounds its cost; an undecided pair goes on.  Otherwise it tries the
 heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
 interpolate the gcd or a cofactor), accepts a candidate only when it
 divides both inputs, and falls back to a primitive pseudo-remainder
@@ -252,7 +254,11 @@ def normalize_sign(p: Poly) -> Poly:
     return -p
 
 
-def divexact(p: Poly, d: Poly) -> Poly:
+class QuotientTooLong(Exception):
+    """A ``divexact`` that would give more quotient terms than allowed."""
+
+
+def divexact(p: Poly, d: Poly, max_terms: float = math.inf) -> Poly:
     """Exact division p/d; raises ArithmeticError when d does not divide p.
 
     A one-term divisor c*m divides term by term.  Otherwise the
@@ -260,6 +266,9 @@ def divexact(p: Poly, d: Poly) -> Poly:
     monomial is pushed when it enters the remainder, entries whose term has
     since cancelled are skipped, and the leading term is cancelled by
     popping it, so each step costs the divisor's terms plus a heap operation.
+    Such a division raises ``QuotientTooLong`` instead of taking a step
+    once the quotient has ``max_terms`` terms, so it takes at most that
+    many steps.
     """
     if d is ONE:
         return p
@@ -291,6 +300,8 @@ def divexact(p: Poly, d: Poly) -> Poly:
         qm = monomial_div(m, lead_m)
         if qm is None or c % lead_c != 0:
             raise ArithmeticError("inexact polynomial division")
+        if len(out) >= max_terms:
+            raise QuotientTooLong
         qc = c // lead_c
         out[qm] = qc
         for dm, dc in tail:
@@ -371,10 +382,14 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     a factorization f = g*h has a factor, say h, of degree 0 in x_v; h
     divides a and b, so it divides a one-term polynomial and is an integer
     times a monomial; f has integer content 1 and no monomial content, so
-    h = +/-1.  Any other input goes to the heuristic gcd (``_gcdheu``),
-    which tries up to ``GCDHEU_POINTS`` evaluation points, returning a
-    candidate only once ``divexact`` has divided both by it.
-    If every point fails, a primitive pseudo-remainder sequence
+    h = +/-1.  The division stops once the quotient has as many terms as
+    the two inputs together: failing to divide can take far longer than
+    dividing (x1^20 + 1 by x1 + ... + x9 builds millions of quotient
+    terms), and GCDHEU settles such a pair after a few evaluations.  Any
+    other input, and a pair the division left undecided, goes to the
+    heuristic gcd (``_gcdheu``), which tries up to ``GCDHEU_POINTS``
+    evaluation points, returning a candidate only once ``divexact`` has
+    divided both by it.  If every point fails, a primitive pseudo-remainder sequence
     (``_prs_gcd``) computes the gcd.  The result has a positive graded-lex
     leading coefficient; gcd(p, 0) = +/-p normalized, gcd(0, 0) = 0.
     """
@@ -400,7 +415,13 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     pair = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
     for f, other in (pair, pair[::-1]):
         if _linear_irreducible(f):
-            return normalize_sign(c * f) if _quotient(other, f) is not None else c
+            try:
+                divexact(other, f, len(p.terms) + len(q.terms))
+            except ArithmeticError:
+                return c
+            except QuotientTooLong:
+                continue
+            return normalize_sign(c * f)
     g = _gcdheu(p, q, max(p.variables() | q.variables()))
     if g is None:
         g = _prs_gcd(p, q)

@@ -112,9 +112,10 @@ def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> Frac:
     coprime, so no further gcd is needed.  A zero sum needs no shortcut:
     canonical pairs are unique, so it forces d = b and c = -a.  Then
     b = d = 1 when g = 1; else g = b (both lead positive), b/g = d/g = 1
-    and h = gcd(0, g) = g.  Either way the pair is (0, 1).
+    and h = gcd(0, g) = g.  Either way the pair is (0, 1).  A
+    denominator 1 needs no gcd call.
     """
-    g = _gcd(b, d)
+    g = ONE if b.terms == ONE.terms or d.terms == ONE.terms else poly_gcd(b, d)
     if g == ONE:
         return Frac._raw(a * d + c * b, b * d)
     b0 = divexact(b, g)
@@ -129,14 +130,12 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> tuple[Poly, Poly]:
 
     Only a and d, or c and b, can share a factor, so one gcd cancels each.
     A quotient (a/b)/(c/d) is the product with the divisor's pair swapped.
+    A pair with a 1 in it needs no gcd call.
     """
-    g, h = _gcd(a, d), _gcd(c, b)
+    one = ONE.terms
+    g = ONE if a.terms == one or d.terms == one else poly_gcd(a, d)
+    h = ONE if c.terms == one or b.terms == one else poly_gcd(c, b)
     return divexact(a, g) * divexact(c, h), divexact(b, h) * divexact(d, g)
-
-
-def _gcd(p: Poly, q: Poly) -> Poly:
-    """poly_gcd(p, q), with no call when either is the shared polynomial 1."""
-    return ONE if p is ONE or q is ONE else poly_gcd(p, q)
 
 
 def _leads_negative(den: Poly) -> bool:

@@ -287,16 +287,21 @@ def _over_budget(signum, frame):
     raise _OverBudget()
 
 
-def test_canon_finishes_on_gcd_blow_up_input(capsys):
+def run_within(capsys, seconds, *argv):
+    """``run``, failing the test once it has taken ``seconds``."""
     old = signal.signal(signal.SIGALRM, _over_budget)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        code, out, _ = run(capsys, "canon", "--", GCD_BLOW_UP)
+        return run(capsys, *argv)
     except _OverBudget:
-        pytest.fail("canon ran past its 5 s budget")
+        pytest.fail(f"{argv[0]} ran past its {seconds} s budget")
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_canon_finishes_on_gcd_blow_up_input(capsys):
+    code, out, _ = run_within(capsys, 5.0, "canon", "--", GCD_BLOW_UP)
     assert code == 0
     # canon numbers names by first appearance; read its output back with
     # exact fractions at seeded points and compare with the input's value
@@ -307,6 +312,17 @@ def test_canon_finishes_on_gcd_blow_up_input(capsys):
         canon_point = {f"x{i}": point[names.name_of(i)] for i in range(1, 7)}
         expected = eval(GCD_BLOW_UP, {"__builtins__": {}}, point)
         assert eval(out.replace("^", "**"), {"__builtins__": {}}, canon_point) == expected
+
+
+def test_canon_finishes_when_a_linear_denominator_does_not_divide(capsys):
+    # gcd(a^20 + 1, a + b + ... + i): the denominator qualifies for the
+    # linear gcd exit, and a full trial division would build millions of
+    # quotient terms before it failed
+    a20 = "*".join(["a"] * 20)
+    code, out, _ = run_within(capsys, 5.0, "canon", f"({a20} + j/j)/(a+b+c+d+e+f+g+h+i)")
+    assert code == 0
+    # names are numbered by first appearance, so j is x2
+    assert out == "(x1^20 + 1)/(x1 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10)\n"
 
 
 def test_syntax_error_exits_2(capsys):

@@ -146,6 +146,18 @@ def test_divexact_roundtrip_random():
         assert divexact(a, Poly.const(-1)) == -a
 
 
+def test_divexact_stops_at_max_terms():
+    p = x1 * x1 * x1 * x1 - x2 * x2 * x2 * x2
+    quotient = divexact(p, x1 - x2)
+    assert len(quotient.terms) == 4
+    assert divexact(p, x1 - x2, max_terms=4) == quotient
+    with pytest.raises(polys.QuotientTooLong):
+        divexact(p, x1 - x2, max_terms=3)
+    # a step that does not divide raises ArithmeticError even past the limit
+    with pytest.raises(ArithmeticError):
+        divexact(x2 * x2 + x1, x1 + x2, max_terms=0)
+
+
 def test_gcd_divides_both_and_is_symmetric_up_to_sign():
     rnd = random.Random(11)
     for _ in range(200):
@@ -219,6 +231,38 @@ def test_linear_exit_divides_or_is_coprime(monkeypatch):
     g = (x1 + ONE) * (x2 + ONE)
     assert poly_gcd(g * (x1 - x2), g * (x1 + x3)) == g
     assert calls
+
+
+def _power(p, n):
+    out = ONE
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def test_linear_exit_gives_up_on_a_long_quotient(monkeypatch):
+    # s = x1 + ... + x9 qualifies, but dividing x1^20 + 1 or x1^20 + ... + x9^20
+    # by it fails only after millions of quotient terms; the exit stops at
+    # as many quotient terms as the two inputs have and leaves the pair to
+    # GCDHEU, so every level of GCDHEU's recursion pays at most that much
+    xs = [Poly.variable(i) for i in range(1, 10)]
+    s = sum(xs[1:], xs[0])
+    products = []
+    monomial_mul = polys.monomial_mul
+
+    def counted(a, b):
+        products.append(1)
+        if len(products) > 2000:
+            raise AssertionError("trial division past its limit")
+        return monomial_mul(a, b)
+
+    calls = _gcdheu_spy(monkeypatch)
+    monkeypatch.setattr(polys, "monomial_mul", counted)
+    assert poly_gcd(_power(x1, 20) + ONE, s) == ONE
+    assert poly_gcd(sum((_power(x, 20) for x in xs[1:]), _power(x1, 20)), s) == ONE
+    # a quotient longer than the limit: x1 - x2 divides, GCDHEU finds it
+    assert poly_gcd(_power(x1, 9) - _power(x2, 9), x1 - x2) == x1 - x2
+    assert len(calls) >= 3
 
 
 def test_heuristic_and_prs_agree_on_planted_factors(monkeypatch):

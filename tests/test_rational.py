@@ -5,7 +5,7 @@ import random
 import pytest
 
 from exprcount import Frac, Poly, canonicalize, rational
-from exprcount.polys import ONE
+from exprcount.polys import ONE, divexact
 from genlib import random_fraction
 
 x1 = Poly.variable(1)
@@ -159,7 +159,7 @@ def test_operators_match_plain_cross_multiplication():
             assert f / g == canonicalize(f.num * g.den, f.den * g.num)
 
 
-def test_no_gcd_with_the_shared_one(monkeypatch):
+def test_no_gcd_with_a_one(monkeypatch):
     gcds = []
     poly_gcd = rational.poly_gcd
     monkeypatch.setattr(rational, "poly_gcd", lambda p, q: gcds.append((p, q)) or poly_gcd(p, q))
@@ -179,3 +179,10 @@ def test_no_gcd_with_the_shared_one(monkeypatch):
     gcds.clear()
     assert Frac._raw(ONE, q.num) * q == Frac.const(1)
     assert gcds == [(q.num, q.num)]
+    # a 1 that is not the shared object, such as q.num / q.num, is one too
+    one = divexact(q.num, q.num)
+    assert one == ONE and one is not ONE
+    gcds.clear()
+    assert Frac._raw(p.num, one) + q == p + q
+    assert Frac._raw(p.num, one) * q == p * q
+    assert gcds == []
