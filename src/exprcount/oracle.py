@@ -211,9 +211,10 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
     (nN, nP, dP, dN), after the values.  A mask's monomial does not
     depend on k, so one table of the masks below 1 << MAX_K serves every k.
     """
-    table = [()]  # table[m]: the monomial of mask m, by doubling over the variables
+    # table[m]: the monomial of mask m, the indices i + 1 of its set bits i
+    table = [()]  # in ascending order, built by doubling over the variables
     for i in range(MAX_K):
-        table += [t + ((i + 1, 1),) for t in table]
+        table += [t + (i + 1,) for t in table]
 
     @cache
     def poly(P: int, N: int) -> Poly:

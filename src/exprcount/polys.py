@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials over the integers.
 
-A monomial is a tuple of ``(variable_index, exponent)`` pairs sorted by
-variable index, with every stored exponent positive; the empty tuple is the
-constant monomial 1.  A polynomial maps monomials to nonzero integer
-coefficients; the empty mapping is the zero polynomial.  Variable indices
-are positive integers (``x1``, ``x2``, ...), and coefficients are plain
-Python ints, so there is no overflow anywhere.
+A monomial is a sorted tuple of variable indices, each index repeated
+once per unit of its exponent: x1^2*x3 is ``(1, 1, 3)``, the empty tuple
+is the constant monomial 1, and a monomial's degree is its length.  A
+polynomial maps monomials to nonzero integer coefficients; the empty
+mapping is the zero polynomial.  Variable indices are positive integers
+(``x1``, ``x2``, ...), and coefficients are plain Python ints, so there is
+no overflow anywhere.  ``Poly(terms)`` also takes the readable form, a
+monomial as ``(variable_index, exponent)`` pairs.
 
 The monomial order used for leading terms, rendering and sign conventions
 is graded lexicographic: higher total degree wins, ties are broken by
-comparing exponents of the lowest-indexed variable first; its one sort
-key is ``_grlex_desc_key``.
+comparing exponents of the lowest-indexed variable first.  Its one sort
+key, ``_grlex_desc_key``, is ``(-len(m), m)``: between two monomials of
+one degree, the first position where they differ holds the smaller index
+in the one with more of that variable, and both have the same exponent
+of every lower-indexed variable.
 
 ``poly_gcd`` is exact: after cheap exits for trivial and monomial inputs it
 takes out the contents, and settles an input of degree 1 in some variable
@@ -32,64 +37,44 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections.abc import Iterable
 
-Monomial = tuple[tuple[int, int], ...]
+Monomial = tuple[int, ...]
 
 CONST_MONOMIAL: Monomial = ()
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted exponent vectors, adding exponents of shared variables."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    """The product: both index runs, one after the other when they do not overlap."""
+    if not a or not b or a[-1] <= b[0]:
+        return a + b
+    if b[-1] <= a[0]:
+        return b + a
+    return tuple(sorted(a + b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
     """Return a/b as a monomial, or None when b does not divide a."""
     if not b:
         return a
-    exps = dict(a)
-    for v, e in b:
-        have = exps.get(v, 0)
-        if have < e:
+    out = list(a)
+    for v in b:
+        try:
+            out.remove(v)
+        except ValueError:
             return None
-        if have == e:
-            del exps[v]
-        else:
-            exps[v] = have - e
-    return tuple(sorted(exps.items()))
+    return tuple(out)
 
 
 def _lex_key(m: Monomial) -> tuple:
-    """Sort key realizing pure lex order with x1 > x2 > ..."""
-    return tuple((-v, e) for v, e in m)
+    """Pure lex sort key, x1 > x2 > ...; a key that prefixes another is a divisor's, so lower."""
+    return tuple(-v for v in m)
 
 
 def _grlex_desc_key(m: Monomial) -> tuple:
-    # Graded-lex larger sorts first: within one total degree no key is a
-    # prefix of another, so the lowest-indexed differing exponent decides.
-    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+    # Graded-lex larger sorts first (see the module docstring).
+    return (-len(m), m)
 
 
 class Poly:
@@ -102,10 +87,19 @@ class Poly:
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = (
-            {m: c for m, c in terms.items() if c != 0} if terms else {}
-        )
+    def __init__(self, terms: dict[tuple[tuple[int, int], ...], int] | None = None):
+        # terms maps (variable_index, exponent) pairs to coefficients; pairs
+        # giving one monomial add up, and zero sums are dropped
+        out: dict[Monomial, int] = {}
+        for pairs, c in (terms or {}).items():
+            m: list[int] = []
+            for v, e in pairs:
+                if v < 1 or e < 0:
+                    raise ValueError(f"need variable index >= 1 and exponent >= 0, got {(v, e)}")
+                m += [v] * e
+            m = tuple(sorted(m))
+            out[m] = out.get(m, 0) + c
+        self.terms: dict[Monomial, int] = {m: c for m, c in out.items() if c}
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "Poly":
@@ -122,7 +116,7 @@ class Poly:
     def variable(cls, index: int) -> "Poly":
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
-        return cls._raw({((index, 1),): 1})
+        return cls._raw({(index,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -131,11 +125,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and CONST_MONOMIAL in self.terms)
 
     def variables(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return frozenset(out)
+        return frozenset().union(*self.terms)
 
     def leading_monomial(self) -> Monomial:
         if len(self.terms) == 1:
@@ -159,17 +149,14 @@ class Poly:
 
     def derivative(self, v: int) -> "Poly":
         """Formal partial derivative with respect to x_v."""
+        # m -> m/x_v is one-to-one, so no two terms meet
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            for i, (var, e) in enumerate(m):
-                if var == v:
-                    if e == 1:
-                        dm = m[:i] + m[i + 1 :]
-                    else:
-                        dm = m[:i] + ((var, e - 1),) + m[i + 1 :]
-                    out[dm] = out.get(dm, 0) + c * e
-                    break
-        return Poly(out)
+            e = m.count(v)
+            if e:
+                i = m.index(v)
+                out[m[:i] + m[i + 1 :]] = c * e
+        return Poly._raw(out)
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
@@ -231,13 +218,14 @@ def poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for m, c in sorted(p.terms.items(), key=lambda t: _grlex_desc_key(t[0])):
+    for m in sorted(p.terms, key=_grlex_desc_key):
+        c = p.terms[m]
         mag = abs(c)
         if m == CONST_MONOMIAL:
             body = str(mag)
         else:
-            factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m]
-            body = "*".join(factors)
+            runs = dict.fromkeys(m)  # each index once, in order
+            body = "*".join([f"x{v}" if (e := m.count(v)) == 1 else f"x{v}^{e}" for v in runs])
             if mag != 1:
                 body = f"{mag}*{body}"
         if not parts:
@@ -323,10 +311,8 @@ def _coeffs_in(p: Poly, v: int) -> dict[int, dict[Monomial, int]]:
     """View p as univariate in x_v, its highest-index variable: degree -> terms."""
     out: dict[int, dict[Monomial, int]] = {}
     for m, c in p.terms.items():
-        if m and m[-1][0] == v:
-            out.setdefault(m[-1][1], {})[m[:-1]] = c
-        else:
-            out.setdefault(0, {})[m] = c
+        i = bisect_left(m, v)  # x_v's run is the tail of m
+        out.setdefault(len(m) - i, {})[m[:i]] = c
     return out
 
 
@@ -347,7 +333,7 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
         if dr < db:
             break
         # lc(r) * x_v^(dr - db): x_v sorts after every variable of lc(r)
-        shift = ((v, dr - db),) if dr > db else ()
+        shift = (v,) * (dr - db)
         lead_r = Poly._raw({m + shift: c for m, c in coeffs[dr].items()})
         r = lead_b * r - lead_r * b
         ic = r.icontent()
@@ -405,10 +391,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     # gcd(p, q) = gcd of the integer contents * gcd of the monomial contents
     # * gcd of what is left, which no integer > 1 and no variable divides
     cp, cq = p.icontent(), q.icontent()
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        # one pass from the one-term input's monomial over the other's terms
+        one, other = (p, q) if len(p.terms) == 1 else (q, p)
+        return Poly._raw({_monomial_content([*one.terms, *other.terms]): math.gcd(cp, cq)})
     mp, mq = _monomial_content(p.terms), _monomial_content(q.terms)
     c = Poly._raw({_monomial_content((mp, mq)): math.gcd(cp, cq)})
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        return c
     p = divexact(p, Poly._raw({mp: cp}))
     q = divexact(q, Poly._raw({mq: cq}))
     # the input with fewer terms first: the cheaper one to test and divide by
@@ -431,13 +419,17 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 def _monomial_content(monomials: Iterable[Monomial]) -> Monomial:
     """The largest monomial that divides every one of the given monomials."""
     rest = iter(monomials)
-    exps = dict(next(rest))
+    g = next(rest)
     for m in rest:
-        if not exps:
+        if not g:
             break
-        have = dict(m)
-        exps = {v: min(e, have[v]) for v, e in exps.items() if v in have}
-    return tuple(exps.items())
+        left, kept = list(m), []
+        for v in g:  # g's indices, each kept while m has a copy left
+            if v in left:
+                left.remove(v)
+                kept.append(v)
+        g = tuple(kept)
+    return g
 
 
 def _linear_irreducible(f: Poly) -> bool:
@@ -450,10 +442,13 @@ def _linear_irreducible(f: Poly) -> bool:
     counts: dict[int, int] = {}
     squared: set[int] = set()
     for m in f.terms:
-        for v, e in m:
+        prev = 0
+        for v in m:
+            # the terms holding x_v, unless x_v is squared
             counts[v] = counts.get(v, 0) + 1
-            if e > 1:
+            if v == prev:
                 squared.add(v)
+            prev = v
     # x_v is in the k terms of a*x_v and missing from the n - k terms of b
     return any((k == 1 or k == n - 1) and v not in squared for v, k in counts.items())
 
@@ -519,11 +514,12 @@ def _evaluate(p: Poly, v: int, xi: int) -> Poly:
     out: dict[Monomial, int] = {}
     powers: dict[int, int] = {}
     for m, c in p.terms.items():
-        if m and m[-1][0] == v:
-            e = m[-1][1]
+        if m and m[-1] == v:
+            i = bisect_left(m, v)
+            e = len(m) - i
             if e not in powers:
                 powers[e] = xi**e
-            m = m[:-1]
+            m = m[:i]
             c *= powers[e]
         s = out.get(m, 0) + c
         if s:
@@ -549,7 +545,7 @@ def _interpolate(image: Poly, v: int, xi: int) -> Poly:
                 digit -= xi
                 c += 1
             if digit:
-                out[m + ((v, e),) if e else m] = digit
+                out[m + (v,) * e] = digit
             e += 1
     return Poly._raw(out)
 

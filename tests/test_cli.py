@@ -259,6 +259,11 @@ def test_canon_output(capsys):
     assert (code, out) == (0, "(x1*x2)/(x3)\n")
 
 
+def test_canon_of_a_high_degree_monomial(capsys):
+    # a monomial holds one index per unit of degree, at most the leaf count
+    assert run(capsys, "canon", "*".join(["a"] * 200) + "/(a*b)")[:2] == (0, "(x1^199)/(x2)\n")
+
+
 def test_leading_unary_minus_needs_double_dash(capsys):
     # the grammar takes '-' factor, but argparse reads "-a" as an option:
     # after '--' it is an expression, without it a usage error

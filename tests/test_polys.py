@@ -33,21 +33,38 @@ def test_no_zero_terms_stored():
     assert all(c != 0 for c in p.terms.values())
 
 
+def test_constructor_normalizes_pair_monomials():
+    # Poly(terms) takes (variable, exponent) pairs in any order and gives
+    # the Poly that arithmetic builds
+    assert Poly({((2, 1), (1, 1)): 1}) == x1 * x2
+    assert Poly({((1, 0), (2, 1)): 1}) == x2
+    assert poly_str(Poly({((1, 0), (2, 1)): 1})) == "x2"
+    assert Poly({((1, 1), (1, 1)): 1}) == x1 * x1
+    assert Poly({((1, 0),): 4}) == Poly.const(4)
+    # pairs giving one monomial add their coefficients; zero sums are dropped
+    assert Poly({((1, 2),): 2, ((1, 1), (1, 1)): 3}) == Poly.const(5) * x1 * x1
+    assert Poly({((1, 2),): 3, ((1, 1), (1, 1)): -3, ((2, 1),): 1, (): 0}) == x2
+    assert Poly({((1, 2),): 3, ((1, 1), (1, 1)): -3}).terms == {}
+    for bad in (((0, 1),), ((1, 1), (-2, 1)), ((1, -1),)):
+        with pytest.raises(ValueError):
+            Poly({bad: 1})
+
+
 def test_variables_and_degree():
     p = x1 * x2 * x2 + x3
     assert p.variables() == frozenset({1, 2, 3})
-    assert p.leading_monomial() == ((1, 1), (2, 2))
+    assert p.leading_monomial() == (1, 2, 2)
 
 
 def test_grlex_leading_term():
     # degree first, then lower variable index wins ties
     p = x1 + x2 * x3
-    assert p.leading_monomial() == ((2, 1), (3, 1))
+    assert p.leading_monomial() == (2, 3)
     q = x1 * x3 + x2 * x2
-    assert q.leading_monomial() == ((1, 1), (3, 1))
+    assert q.leading_monomial() == (1, 3)
     with pytest.raises(ValueError):
         Poly.const(0).leading_monomial()
-    assert (Poly.const(-3) * x2 * x3).leading_monomial() == ((2, 1), (3, 1))
+    assert (Poly.const(-3) * x2 * x3).leading_monomial() == (2, 3)
     assert ONE.leading_monomial() == ()
 
 
@@ -357,7 +374,128 @@ def test_cached_hash_matches_the_term_set_hash():
         p = random_poly(rnd, [1, 2, 3], max_terms=5)
         items = list(p.terms.items())
         rnd.shuffle(items)
-        for first, second in ((p, Poly(dict(items))), (Poly(dict(items)), p)):
+        for first, second in ((p, Poly._raw(dict(items))), (Poly._raw(dict(items)), p)):
             assert first == second
             assert hash(first) == hash(frozenset(first.terms.items()))
             assert hash(second) == hash(first) == hash(second)
+
+
+def test_high_degree_gcd():
+    # a monomial is one index per unit of degree, so x1^200 has 200 of them
+    one = Poly.const(1)
+    assert poly_gcd(_power(x1, 200) - one, _power(x1, 100) - one) == _power(x1, 100) - one
+    assert poly_str(_power(x1, 200) * x2) == "x1^200*x2"
+
+
+# References: the monomial helpers as they were when a monomial was a tuple
+# of (variable, exponent) pairs sorted by variable, every exponent positive.
+
+
+def _pairs(m):
+    return tuple((v, m.count(v)) for v in dict.fromkeys(m))
+
+
+def _ref_grlex_desc_key(m):
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+
+def _ref_lex_key(m):
+    return tuple((-v, e) for v, e in m)
+
+
+def _ref_mul(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _ref_div(a, b):
+    exps = dict(a)
+    for v, e in b:
+        have = exps.get(v, 0)
+        if have < e:
+            return None
+        if have == e:
+            del exps[v]
+        else:
+            exps[v] = have - e
+    return tuple(sorted(exps.items()))
+
+
+def _ref_content(monomials):
+    rest = iter(monomials)
+    exps = dict(next(rest))
+    for m in rest:
+        have = dict(m)
+        exps = {v: min(e, have[v]) for v, e in exps.items() if v in have}
+    return tuple(exps.items())
+
+
+def _ref_poly_str(p):
+    if p.is_zero():
+        return "0"
+    parts = []
+    for m, c in sorted(((_pairs(m), c) for m, c in p.terms.items()), key=lambda t: _ref_grlex_desc_key(t[0])):
+        mag = abs(c)
+        if m == ():
+            body = str(mag)
+        else:
+            body = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m)
+            if mag != 1:
+                body = f"{mag}*{body}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _random_monomial(rnd):
+    return tuple(v for v in range(1, 7) for _ in range(rnd.choice((0, 0, 0, 1, 1, 2, 4))))
+
+
+def _sample_monomials():
+    rnd = random.Random(29)
+    monomials = [_random_monomial(rnd) for _ in range(3000)]
+    for _ in range(300):
+        monomials += random_poly(rnd, [1, 2, 3, 4], max_terms=5, max_exp=3).terms
+    return monomials
+
+
+def test_monomial_keys_give_the_pair_form_orders():
+    monomials = list(set(_sample_monomials()))
+    random.Random(31).shuffle(monomials)
+    for key, ref in ((polys._grlex_desc_key, _ref_grlex_desc_key), (polys._lex_key, _ref_lex_key)):
+        assert [_pairs(m) for m in sorted(monomials, key=key)] == sorted(map(_pairs, monomials), key=ref)
+    p = random_poly(random.Random(37), [1, 2, 3], max_terms=8, max_exp=3)
+    assert _pairs(p.leading_monomial()) == min(map(_pairs, p.terms), key=_ref_grlex_desc_key)
+
+
+def test_monomial_arithmetic_matches_the_pair_form():
+    rnd = random.Random(41)
+    monomials = _sample_monomials()
+    divided = 0
+    for _ in range(3000):
+        a, b = rnd.choice(monomials), rnd.choice(monomials)
+        pa, pb = _pairs(a), _pairs(b)
+        ab = polys.monomial_mul(a, b)
+        assert _pairs(ab) == _ref_mul(pa, pb) and ab == polys.monomial_mul(b, a)
+        for num, den in ((a, b), (ab, b), (ab, a), (b, a)):
+            q = polys.monomial_div(num, den)
+            ref = _ref_div(_pairs(num), _pairs(den))
+            assert (q if q is None else _pairs(q)) == ref
+            divided += q is not None
+        group = [a, b] + rnd.sample(monomials, rnd.randint(0, 3))
+        assert _pairs(polys._monomial_content(group)) == _ref_content(map(_pairs, group))
+        shared = polys.monomial_mul(a, b)
+        group = [polys.monomial_mul(shared, m) for m in group]
+        assert _pairs(polys._monomial_content(group)) == _ref_content(map(_pairs, group))
+    assert divided > 6000
+
+
+def test_poly_str_matches_a_pair_form_rendering():
+    rnd = random.Random(43)
+    for _ in range(500):
+        p = random_poly(rnd, [1, 2, 3, 4], max_terms=6, max_exp=4, max_coeff=5)
+        assert poly_str(p) == _ref_poly_str(p)

@@ -19,8 +19,8 @@ def to_sympy(p):
     exps = {}
     for m, c in p.terms.items():
         e = [0] * len(GENS)
-        for v, k in m:
-            e[v - 1] = k
+        for v in m:
+            e[v - 1] += 1
         exps[tuple(e)] = c
     return sympy.Poly.from_dict(exps, *GENS, domain="ZZ")
 
