@@ -181,6 +181,11 @@ class Poly:
             return other
         if other.terms == ONE.terms:
             return self
+        a, b = (other, self) if len(other.terms) == 1 else (self, other)
+        if len(a.terms) == 1:
+            # m -> ma*m is one-to-one, so no two products meet
+            [(ma, ca)] = a.terms.items()
+            return Poly._raw({monomial_mul(ma, mb): ca * cb for mb, cb in b.terms.items()})
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -391,12 +396,10 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     # gcd(p, q) = gcd of the integer contents * gcd of the monomial contents
     # * gcd of what is left, which no integer > 1 and no variable divides
     cp, cq = p.icontent(), q.icontent()
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        # one pass from the one-term input's monomial over the other's terms
-        one, other = (p, q) if len(p.terms) == 1 else (q, p)
-        return Poly._raw({_monomial_content([*one.terms, *other.terms]): math.gcd(cp, cq)})
     mp, mq = _monomial_content(p.terms), _monomial_content(q.terms)
     c = Poly._raw({_monomial_content((mp, mq)): math.gcd(cp, cq)})
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        return c
     p = divexact(p, Poly._raw({mp: cp}))
     q = divexact(q, Poly._raw({mq: cq}))
     # the input with fewer terms first: the cheaper one to test and divide by
