@@ -40,7 +40,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable
 
-Monomial = tuple[int, ...]
+Monomial = tuple[int, ...]  # sorted indices, one per unit of exponent: len is degree
 
 CONST_MONOMIAL: Monomial = ()
 
@@ -92,12 +92,12 @@ class Poly:
         # giving one monomial add up, and zero sums are dropped
         out: dict[Monomial, int] = {}
         for pairs, c in (terms or {}).items():
-            m: list[int] = []
+            indices: list[int] = []
             for v, e in pairs:
                 if v < 1 or e < 0:
                     raise ValueError(f"need variable index >= 1 and exponent >= 0, got {(v, e)}")
-                m += [v] * e
-            m = tuple(sorted(m))
+                indices += [v] * e
+            m = tuple(sorted(indices))
             out[m] = out.get(m, 0) + c
         self.terms: dict[Monomial, int] = {m: c for m, c in out.items() if c}
 
@@ -181,11 +181,6 @@ class Poly:
             return other
         if other.terms == ONE.terms:
             return self
-        a, b = (other, self) if len(other.terms) == 1 else (self, other)
-        if len(a.terms) == 1:
-            # m -> ma*m is one-to-one, so no two products meet
-            [(ma, ca)] = a.terms.items()
-            return Poly._raw({monomial_mul(ma, mb): ca * cb for mb, cb in b.terms.items()})
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
