@@ -212,7 +212,8 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
     depend on k, so one table of the masks below 1 << MAX_K serves every k.
     """
     # table[m]: the monomial of mask m, the indices i + 1 of its set bits i
-    table = [()]  # in ascending order, built by doubling over the variables
+    # in ascending order, built by doubling over the variables
+    table = [()]
     for i in range(MAX_K):
         table += [t + (i + 1,) for t in table]
 

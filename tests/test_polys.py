@@ -382,8 +382,7 @@ def test_cached_hash_matches_the_term_set_hash():
 
 def test_high_degree_gcd():
     # a monomial is one index per unit of degree, so x1^200 has 200 of them
-    one = Poly.const(1)
-    assert poly_gcd(_power(x1, 200) - one, _power(x1, 100) - one) == _power(x1, 100) - one
+    assert poly_gcd(_power(x1, 200) - ONE, _power(x1, 100) - ONE) == _power(x1, 100) - ONE
     assert poly_str(_power(x1, 200) * x2) == "x1^200*x2"
 
 
@@ -436,7 +435,8 @@ def _ref_poly_str(p):
     if p.is_zero():
         return "0"
     parts = []
-    for m, c in sorted(((_pairs(m), c) for m, c in p.terms.items()), key=lambda t: _ref_grlex_desc_key(t[0])):
+    terms = [(_pairs(m), c) for m, c in p.terms.items()]
+    for m, c in sorted(terms, key=lambda t: _ref_grlex_desc_key(t[0])):
         mag = abs(c)
         if m == ():
             body = str(mag)
@@ -467,7 +467,8 @@ def test_monomial_keys_give_the_pair_form_orders():
     monomials = list(set(_sample_monomials()))
     random.Random(31).shuffle(monomials)
     for key, ref in ((polys._grlex_desc_key, _ref_grlex_desc_key), (polys._lex_key, _ref_lex_key)):
-        assert [_pairs(m) for m in sorted(monomials, key=key)] == sorted(map(_pairs, monomials), key=ref)
+        ordered = [_pairs(m) for m in sorted(monomials, key=key)]
+        assert ordered == sorted(map(_pairs, monomials), key=ref)
     p = random_poly(random.Random(37), [1, 2, 3], max_terms=8, max_exp=3)
     assert _pairs(p.leading_monomial()) == min(map(_pairs, p.terms), key=_ref_grlex_desc_key)
 
@@ -488,8 +489,7 @@ def test_monomial_arithmetic_matches_the_pair_form():
             divided += q is not None
         group = [a, b] + rnd.sample(monomials, rnd.randint(0, 3))
         assert _pairs(polys._monomial_content(group)) == _ref_content(map(_pairs, group))
-        shared = polys.monomial_mul(a, b)
-        group = [polys.monomial_mul(shared, m) for m in group]
+        group = [polys.monomial_mul(ab, m) for m in group]  # a content of at least ab
         assert _pairs(polys._monomial_content(group)) == _ref_content(map(_pairs, group))
     assert divided > 6000
 
