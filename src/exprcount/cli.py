@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -280,8 +281,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         # The reader closed stdout (``| head``): not a fault.  Write nothing,
-        # as stderr may be the same pipe; the failed write emptied stdout's
-        # buffer, so the flush at exit is silent too.
+        # as stderr may be the same pipe.  Bytes that a write cut short left
+        # in stdout's buffer would fail the flush at exit, so they go to the
+        # null device; a stream with no descriptor (a StringIO) needs nothing.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return 2
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, fd)
+        finally:
+            os.close(null)
         return 2
     except Exception as exc:  # noqa: BLE001 -- any other fault is internal
         _report(f"internal error: {type(exc).__name__}: {exc}")

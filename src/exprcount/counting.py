@@ -61,9 +61,6 @@ class SequenceTable:
     def __init__(self, rows: tuple[SequenceRow, ...]):
         self.rows = rows
 
-    def __eq__(self, other: object) -> bool:
-        return self.rows == other.rows if type(other) is SequenceTable else NotImplemented
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -79,10 +76,8 @@ class OpCounter:
 
     __slots__ = ("muls", "adds", "divs")
 
-    def __init__(self, muls: int = 0, adds: int = 0, divs: int = 0):
-        self.muls = muls
-        self.adds = adds
-        self.divs = divs
+    def __init__(self):
+        self.muls = self.adds = self.divs = 0
 
 
 def _next_row(

@@ -307,12 +307,12 @@ def _evaluator() -> Callable[[ExprTree], Frac]:
     """``evaluate`` with a memo shared by every tree it is given.
 
     Each distinct operation is computed once: a leaf per index, a negation
-    per child value, a binary node per operator and operand values (either
-    order for ``+`` and ``*``).  Values are keyed by ``id``, which stays
-    unique because the memo holds every value it returns.  A computed
-    negation also records its own negation, so ``-(-v)`` is ``v`` itself.
-    The memo lives as long as the returned function; ``evaluate`` and the
-    ``equiv`` command make one per call.
+    per child value, a binary node per operator and operand values in
+    operand order, so ``a*b`` and ``b*a`` are two entries.  Values are
+    keyed by ``id``, which stays unique because the memo holds every value
+    it returns.  A computed negation also records its own negation, so
+    ``-(-v)`` is ``v`` itself.  The memo lives as long as the returned
+    function; ``evaluate`` and the ``equiv`` command make one per call.
     """
     memo: dict[tuple, Frac] = {}
 
@@ -333,10 +333,7 @@ def _evaluator() -> Callable[[ExprTree], Frac]:
                 memo[Neg, id(got)] = child
             return got
         left, right = value(node.left), value(node.right)
-        a, b = id(left), id(right)
-        if a > b and (cls is Add or cls is Mul):
-            a, b = b, a
-        key = (cls, a, b)
+        key = (cls, id(left), id(right))
         got = memo.get(key)
         if got is None:
             got = memo[key] = _BINARY[cls][2](left, right)

@@ -17,8 +17,9 @@ one degree, the first position where they differ holds the smaller index
 in the one with more of that variable, and both have the same exponent
 of every lower-indexed variable.
 
-``poly_gcd`` is exact: after cheap exits for trivial and monomial inputs it
-takes out the contents, and settles an input of degree 1 in some variable
+``poly_gcd`` is exact: after cheap exits for a zero input, inputs with
+no variable in common (a constant has none) and monomial inputs, it
+takes out the contents and settles an input of degree 1 in some variable
 whose coefficient or remaining part is one term with one trial division:
 such an input is irreducible (any factor free of that variable divides a
 one-term polynomial, so it is a monomial times an integer, and the
@@ -28,9 +29,11 @@ bounds its cost; an undecided pair goes on.  Otherwise it tries the
 heuristic gcd (GCDHEU: evaluate, take the gcd of the images,
 interpolate the gcd or a cofactor), accepts a candidate only when it
 divides both inputs, and falls back to a primitive pseudo-remainder
-sequence when every evaluation point fails.  ``divexact`` divides by one
-term (a content) term by term, and otherwise keeps its remainder's terms
-in a heap, so each step finds the leading term in logarithmic time.
+sequence when every evaluation point fails; both read a polynomial as
+univariate in its highest-index variable through ``_coeffs_in``.  ``divexact``
+divides by one term (a content) term by term, and otherwise keeps its
+remainder's terms in a heap, so each step finds the leading term in
+logarithmic time.
 """
 
 from __future__ import annotations
@@ -120,9 +123,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and CONST_MONOMIAL in self.terms)
 
     def variables(self) -> frozenset[int]:
         return frozenset().union(*self.terms)
@@ -383,9 +383,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return normalize_sign(q)
     if q.is_zero():
         return normalize_sign(p)
-    if p.is_constant() or q.is_constant() or not p.variables() & q.variables():
-        # a divisor of p only involves variables of p, so the gcd of a
-        # constant or of variable-disjoint polynomials is an integer
+    if not p.variables() & q.variables():
+        # a divisor of p only involves variables of p, so the gcd of
+        # variable-disjoint polynomials (a constant has none) is an integer
         g = math.gcd(p.icontent(), q.icontent())
         return ONE if g == 1 else Poly.const(g)
     # gcd(p, q) = gcd of the integer contents * gcd of the monomial contents
@@ -510,20 +510,14 @@ def _quotient(p: Poly, d: Poly) -> Poly | None:
 def _evaluate(p: Poly, v: int, xi: int) -> Poly:
     """p with x_v set to xi, where no variable of p has an index above v."""
     out: dict[Monomial, int] = {}
-    powers: dict[int, int] = {}
-    for m, c in p.terms.items():
-        if m and m[-1] == v:
-            i = bisect_left(m, v)
-            e = len(m) - i
-            if e not in powers:
-                powers[e] = xi**e
-            m = m[:i]
-            c *= powers[e]
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
+    for e, terms in _coeffs_in(p, v).items():
+        power = xi**e
+        for m, c in terms.items():
+            s = out.get(m, 0) + c * power
+            if s:
+                out[m] = s
+            else:
+                del out[m]
     return Poly._raw(out)
 
 

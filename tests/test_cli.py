@@ -442,6 +442,43 @@ def test_closed_stdout_exits_2_silently(unbuffered):
         assert (proc.wait(timeout=60), err) == (2, b"")
 
 
+# Fd 1 is a pipe whose reader leaves during the first write to it, after
+# that write has taken 100 bytes: the rest stays in stdout's buffer, and
+# the flush at exit meets the closed pipe again.
+_READER_LEAVES_MID_WRITE = """
+import io, os, sys
+from exprcount import cli
+
+reader, writer = os.pipe()
+os.dup2(writer, 1)
+os.close(writer)
+
+
+class ReaderLeavesMidWrite(io.FileIO):
+    def write(self, b):
+        global reader
+        if reader is None:
+            return super().write(b)
+        n = super().write(bytes(b[:100]))
+        os.close(reader)
+        reader = None
+        return n
+
+
+raw = ReaderLeavesMidWrite(1, "w", closefd=False)
+sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw))
+sys.exit(cli.main(["count", "--n", "300", "--format", "json"]))
+"""
+
+
+def test_stdout_closed_in_mid_write_exits_2_silently():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _READER_LEAVES_MID_WRITE], env=env, capture_output=True, timeout=60
+    )
+    assert (run.returncode, run.stderr) == (2, b"")
+
+
 def test_start_loads_no_code_generation_or_typing():
     # dataclasses (with inspect, ast, dis and tokenize behind it) and typing
     # were most of each command's import time.  A fresh interpreter, as this

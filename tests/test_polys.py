@@ -16,7 +16,7 @@ x3 = Poly.variable(3)
 def test_zero_and_constants():
     assert Poly.const(0).is_zero()
     assert (Poly.const(3) + Poly.const(-3)).is_zero()
-    assert ONE.is_constant()
+    assert ONE.variables() == frozenset()  # poly_gcd's variable-disjoint exit takes constants
     # zero operands go through the general code of +, * and divexact
     zero, p = Poly.const(0), x1 * x2 - x3 + ONE
     assert zero + p == p and p + zero == p
@@ -384,6 +384,30 @@ def test_high_degree_gcd():
     # a monomial is one index per unit of degree, so x1^200 has 200 of them
     assert poly_gcd(_power(x1, 200) - ONE, _power(x1, 100) - ONE) == _power(x1, 100) - ONE
     assert poly_str(_power(x1, 200) * x2) == "x1^200*x2"
+
+
+def test_evaluate_matches_substitution_through_poly_arithmetic():
+    # _evaluate(p, 3, xi) against x3 -> xi term by term; the first inputs
+    # have no x3, the last two have terms that cancel at xi = 7
+    def substitute(p, xi):
+        out = Poly.const(0)
+        for m, c in p.terms.items():
+            term = Poly.const(c)
+            for u in m:
+                term = term * (Poly.const(xi) if u == 3 else Poly.variable(u))
+            out = out + term
+        return out
+
+    rnd = random.Random(31)
+    seven = Poly.const(7)
+    cases = [random_poly(rnd, [1, 2], max_terms=4) for _ in range(20)]
+    cases += [random_poly(rnd, [1, 2, 3], max_terms=6, max_exp=3) for _ in range(200)]
+    cases += [x1 * x3 - seven * x1, x2 * x3 * x3 - seven * seven * x2 + x1]
+    for p in cases:
+        for xi in (2, 7, -5, 1000):
+            assert polys._evaluate(p, 3, xi) == substitute(p, xi)
+    assert polys._evaluate(cases[-2], 3, 7).is_zero()
+    assert polys._evaluate(cases[-1], 3, 7) == x1
 
 
 # References: the monomial helpers as they were when a monomial was a tuple
