@@ -38,7 +38,6 @@ from .oracle import (
     enumerate_tree_classes,
     enumerate_tree_classes_literal,
     iter_expression_trees,
-    tree_shapes,
 )
 from .polys import Monomial, Poly, divexact, normalize_sign, poly_gcd, poly_str
 from .rational import Frac, canonicalize
@@ -79,5 +78,4 @@ __all__ = [
     "poly_gcd",
     "poly_str",
     "render",
-    "tree_shapes",
 ]

@@ -140,12 +140,7 @@ class Poly:
 
     def icontent(self) -> int:
         """Gcd of the integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return math.gcd(*self.terms.values())
 
     def derivative(self, v: int) -> "Poly":
         """Formal partial derivative with respect to x_v."""

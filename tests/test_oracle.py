@@ -19,7 +19,6 @@ from exprcount import (
     iter_expression_trees,
     oracle,
     polys,
-    tree_shapes,
 )
 from exprcount.oracle import (
     _converter,
@@ -31,6 +30,7 @@ from exprcount.oracle import (
     _splits,
     _sums,
     count_tree_classes,
+    tree_shapes,
 )
 
 X = [None] + [Frac.variable(i) for i in range(1, 7)]

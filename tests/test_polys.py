@@ -129,6 +129,13 @@ def test_gcd_integer_content():
     assert poly_gcd(two_x_plus_two, Poly.const(4)) == Poly.const(2)
 
 
+def test_icontent():
+    assert Poly.const(0).icontent() == 0
+    assert Poly.const(-7).icontent() == 7
+    assert (Poly.const(-6) * x1 + Poly.const(9)).icontent() == 3
+    assert (Poly.const(4) * x1 + Poly.const(6) * x2 + Poly.const(9)).icontent() == 1
+
+
 def test_divexact_errors_on_inexact():
     with pytest.raises(ArithmeticError):
         divexact(x1 + Poly.const(1), x2)
