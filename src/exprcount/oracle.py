@@ -78,9 +78,7 @@ rejected unless a larger ``cutoff`` is passed explicitly, and k above
 classes would need about 90 GB.  The literal route,
 ``iter_expression_trees``, walks the raw tree space of roughly
 Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
-2e8 at k = 5; the subset recursion takes under a second at k = 5.  At
-k = 6 on a 2-core host (CPython 3.11.7), ``verify --max-k 6 --unsafe-large``
-took 2.2 s at a 69 MB peak RSS, and ``--max-k 7`` 104 s at 2.20 GB.
+2e8 at k = 5, so it serves small k only.
 """
 
 from __future__ import annotations
@@ -251,12 +249,8 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
 def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     """Deduplicated values of all expression trees on variables x1..xk.
 
-    A tree on the variable set V with |V| >= 2 is +-(L-tree op R-tree)
-    for some split V = L | R, and op acts elementwise on the two value
-    sets, so values(V) is built from one representative per +/- pair on L
-    and on R over the unordered splits {L, R} (u+w, u-w, u*w, u/w and its
-    reciprocal, each with its negation), memoized by variable subset in
-    one ``_GrammarBuilder``.
+    The ``tree_reps`` of x1..xk, each with its negation, as ``Frac``
+    values; the subset lists are memoized in one fresh ``_GrammarBuilder``.
     """
     _check_k(k, cutoff)
     b = _GrammarBuilder()
@@ -345,11 +339,9 @@ class _GrammarBuilder:
     def tree_candidates(self, vars_: frozenset[int]) -> Iterator[Value]:
         """Every value the tree walk forms on vars_, in walk order, repeats included.
 
-        The value sets are closed under negation, so the walk combines one
-        representative u per +/- pair on the left with one w on the right:
-        +-(u + w), +-(u - w), +-u*w, +-q and +-1/q, q = u/w, are all the values
-        the signed pairs give, and the mirrored split adds only the reciprocals.
-        A single variable is its own one value.
+        For each unordered split, u + w, u - w, u*w, q = u/w and 1/q over the
+        ``tree_reps`` u of the left part and w of the right; a single variable
+        is its own one value.
         """
         if len(vars_) == 1:
             yield _leaf(min(vars_))

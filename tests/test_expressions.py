@@ -228,26 +228,6 @@ def test_eliminate_subtraction_preserves_value():
     assert checked > 300
 
 
-def test_evaluate_equivalences_from_tree_pictures():
-    pairs = [
-        ("a+b", "a-(-b)"),
-        ("(a-b)*(c-d)", "(d-c)*(b-a)"),
-        ("(a*b)/c", "b/(c/a)"),
-    ]
-    for lhs, rhs in pairs:
-        names = NameMap()
-        tl, _ = parse(lhs, names)
-        tr, _ = parse(rhs, names)
-        assert evaluate(tl) == evaluate(tr)
-
-
-def test_evaluate_distinguishes():
-    names = NameMap()
-    tl, _ = parse("a+b", names)
-    tr, _ = parse("a*b", names)
-    assert evaluate(tl) != evaluate(tr)
-
-
 def _mirror(tree):
     """The tree with the operands of every + and * swapped: the same value."""
     if isinstance(tree, Leaf):
@@ -318,12 +298,3 @@ def test_repeated_variables_allowed_and_zero_division_raises():
     bad, _ = parse("b/(a-a)")
     with pytest.raises(ZeroDivisionError):
         evaluate(bad)
-
-
-def test_distinct_leaves_never_divide_by_zero():
-    rnd = random.Random(5)
-    # trees whose leaves are distinct variables: build by shuffling indices
-    from exprcount import iter_expression_trees
-
-    for tree in iter_expression_trees(2):
-        evaluate(tree)  # must not raise

@@ -60,9 +60,6 @@ def test_k1_classes():
     assert cs.classes == {X[1], -X[1]}
     assert len(enumerate_tree_classes(1)) == 2
     assert cs == enumerate_tree_classes_literal(1) != enumerate_tree_classes(2)
-    for k in (1, 2, 3):
-        literal, subsets = enumerate_tree_classes_literal(k), enumerate_tree_classes(k)
-        assert type(literal) is type(subsets) is ClassSet and literal == subsets
 
 
 def test_k2_classes_match_manual_listing():
@@ -73,17 +70,12 @@ def test_k2_classes_match_manual_listing():
     assert enumerate_tree_classes(2).classes == expected
 
 
-def test_oracle_agrees_with_engine_small_k():
-    table = compute_table(3)
-    for k in (1, 2, 3):
-        assert len(enumerate_tree_classes(k)) == table.row(k).A
-
-
 def test_literal_enumeration_agrees_with_batched():
     # one-tree-at-a-time evaluation through the expression model must land
     # on the same class sets as the batched value composition
     for k in (1, 2, 3):
-        assert enumerate_tree_classes_literal(k).classes == enumerate_tree_classes(k).classes
+        literal, subsets = enumerate_tree_classes_literal(k), enumerate_tree_classes(k)
+        assert type(literal) is type(subsets) is ClassSet and literal == subsets
 
 
 def test_literal_tree_count():
@@ -153,18 +145,6 @@ def test_grammar_base_case():
     assert enumerate_grammar(1, "sum") == [X[1], -X[1]]
 
 
-def test_grammar_is_duplicate_free():
-    for k in range(1, 5):
-        for kind in ("sum", "product", "pi1", "pi2"):
-            values = enumerate_grammar(k, kind)
-            assert len(values) == len(set(values))
-
-
-def test_sum_and_product_types_disjoint_for_k_at_least_2():
-    for k in (2, 3):
-        assert not set(enumerate_grammar(k, "sum")) & set(enumerate_grammar(k, "product"))
-
-
 def test_shared_builder_matches_fresh_builders_in_any_call_order():
     # one builder memoizes both routes per (method, subset): a memo keyed by
     # the subset alone would hand one route's lists to the other
@@ -198,15 +178,6 @@ def test_classes_have_full_variable_sets():
     for k in (1, 2, 3):
         full = frozenset(range(1, k + 1))
         assert all(f.variables() == full for f in enumerate_tree_classes(k).classes)
-
-
-def test_classes_closed_under_negation_and_sum_pairing():
-    for k in (1, 2, 3):
-        classes = enumerate_tree_classes(k).classes
-        assert all(-f in classes for f in classes)
-        sums = set(enumerate_grammar(k, "sum"))
-        assert len(sums) % 2 == 0
-        assert all(-f in sums for f in sums)
 
 
 def _grammar_builder(k, cutoff=None):
@@ -367,14 +338,6 @@ def _prod(fracs):
     for f in fracs[1:]:
         out = out * f
     return out
-
-
-def test_dump_classes_deterministic_and_golden():
-    lines = sorted(f.render() for f in enumerate_tree_classes(2).classes)
-    assert len(lines) == 10
-    assert "(x1 + x2)/(1)" in lines
-    assert "(x2)/(x1)" in lines
-    assert lines == sorted(f.render() for f in enumerate_tree_classes(2).classes)
 
 
 def test_tree_memo_holds_one_value_per_sign_pair():

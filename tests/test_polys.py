@@ -366,13 +366,6 @@ def test_prs_takes_as_many_contents_in_either_argument_order(monkeypatch):
     assert counts == [3, 3]
 
 
-def test_hash_consistent_with_eq():
-    p = x1 * x2 + Poly.const(3)
-    q = Poly.const(3) + x2 * x1
-    assert p == q
-    assert hash(p) == hash(q)
-
-
 def test_cached_hash_matches_the_term_set_hash():
     # equal polynomials whose terms were inserted in different orders hash
     # equal whichever is hashed first, and the cached value is the term set's
