@@ -15,6 +15,11 @@ T being the ``run_seconds`` of that copy's ``BENCHMARK.json``, with no
 ``seeds[i % len(seeds)]``; even pairs run the parent first, odd pairs the
 change first, so a drift of the host's speed favours neither side.
 
+A run's record holds its result line's metrics and, from the report line
+before it, ``unscaled_op_ms_p50`` and ``probe_ms_median``: a probe that a
+change slows (say, by a second process sharing the host) scales that
+change's timings down, and these show by how much.
+
 The output file holds ``commits``, and ``summary`` and ``runs``, each
 keyed by workload; other keys of an existing file, and other workloads,
 are kept, so one file can collect several workloads of one commit pair.
@@ -59,7 +64,7 @@ def checkout(commit: str, into: Path) -> None:
 
 
 def run_once(commit: str, workload: str, seed: int, workdir: str | None) -> dict:
-    """One perfbench run in a fresh copy of ``commit``: rc, attempted, failed, metrics."""
+    """One perfbench run in a fresh copy of ``commit``: rc and `parse_run`'s record."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-", dir=workdir) as tmp:
@@ -71,16 +76,22 @@ def run_once(commit: str, workload: str, seed: int, workdir: str | None) -> dict
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
         ]
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
-    record = {"rc": proc.returncode}
     lines = proc.stdout.splitlines()
-    if proc.returncode or not lines:
+    if proc.returncode or len(lines) < 2:
         sys.stderr.write(proc.stderr[-2000:])
         raise SystemExit(f"error: run of {commit[:12]} at seed {seed} exited {proc.returncode}")
-    result = json.loads(lines[-1])
-    record["attempted"] = result["attempted"]
-    record["failed"] = result["failed"]
+    return {"rc": proc.returncode, **parse_run(lines)}
+
+
+def parse_run(lines: list[str]) -> dict:
+    """attempted, failed, each metric, and from the report line the unscaled
+    op_ms_p50 and the probe median that scaled it."""
+    report, result = json.loads(lines[-2]), json.loads(lines[-1])
+    record = {"attempted": result["attempted"], "failed": result["failed"]}
     for name, metric in result["metrics"].items():
         record[name] = round(metric["value"], 6)
+    record["unscaled_op_ms_p50"] = round(report["unscaled"]["op_ms_p50"], 6)
+    record["probe_ms_median"] = round(report["unscaled"]["probe_ms_median"], 6)
     return record
 
 

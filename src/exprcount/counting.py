@@ -37,10 +37,23 @@ formed first and then scaled by the binomial, its shorter factor.
 
 Only two Pascal-triangle rows are alive at any point, giving linear memory
 in stored integers and a quadratic operation count overall.
+
+From row 100 on, where os.fork exists and the process may run on at least
+two CPUs, each row is split over two processes.  The calling process (the
+parent) computes S_k and the odd-j terms of the P sum; a forked worker,
+which holds its own copy of the rows, computes the Q numerator and the
+even-j terms.  Once per row the two swap these four sums over two pipes,
+and each assembles the row from them with the same exactness checks.  Every
+sum is an exact integer, so both processes hold the rows the serial engine
+would, whichever process computed a sum: the output does not depend on the
+split.  The parent raises every error itself, and it kills and reaps the
+worker however the table ends, an interrupt included.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import namedtuple
 
 
@@ -80,62 +93,188 @@ class OpCounter:
         self.muls = self.adds = self.divs = 0
 
 
-def _next_row(
-    rows: list[SequenceRow],
-    bkm1: tuple[int, ...],
-    bk: tuple[int, ...],
-    counter: OpCounter | None,
-) -> SequenceRow:
-    """Row k = len(rows)+1 from rows 1..k-1 and Pascal rows k-1 and k."""
-    k = len(rows) + 1
+# The split's first row.  On a 2-vCPU host one exchange of sums cost about
+# 50 us, what row 80 to 100 takes in one process; the fork and the reaping
+# cost about 3 ms, won back by n = 160.
+_SPLIT_FROM = 100
 
-    # S and Q: the j = 1 term has weight C(k-1, 0) = 1, terms j and k+1-j
-    # share C(k-1, j-1), and j = (k+1)/2 (k odd) pairs with itself.
+
+def _paired_sum(rows: list[SequenceRow], bkm1: tuple[int, ...], f: int, g: int) -> int:
+    """sum_{j=1}^{k-1} C(k-1, j-1) * F_j * G_{k-j}, k = len(rows) + 1.
+
+    F and G are the row fields at indices f and g: P and A for S_k, S and R
+    for twice Q_k.  The j = 1 term has weight C(k-1, 0) = 1, terms j and
+    k+1-j share C(k-1, j-1), and j = (k+1)/2 (k odd) pairs with itself.
+    """
+    k = len(rows) + 1
     # rows[i] holds row i+1.
-    first, last = rows[0], rows[k - 2]
-    s = first.P * last.A
-    total = first.S * last.R
+    total = rows[0][f] * rows[k - 2][g]
     for j in range(2, k // 2 + 1):
-        c = bkm1[j - 1]
         lo, lo_mate = rows[j - 1], rows[k - j - 1]  # rows j and k-j
         hi, hi_mate = rows[k - j], rows[j - 2]  # rows k+1-j and j-1
-        s += c * (lo.P * lo_mate.A + hi.P * hi_mate.A)
-        total += c * (lo.S * lo_mate.R + hi.S * hi_mate.R)
+        total += bkm1[j - 1] * (lo[f] * lo_mate[g] + hi[f] * hi_mate[g])
     if k % 2:
         j = (k + 1) // 2
-        c, mid, mate = bkm1[j - 1], rows[j - 1], rows[j - 2]
-        s += c * (mid.P * mate.A)
-        total += c * (mid.S * mate.R)
-    if total % 2:
-        raise InexactDivisionError(f"Q numerator odd at k={k}")
-    q = total // 2
+        total += bkm1[j - 1] * (rows[j - 1][f] * rows[j - 2][g])
+    return total
 
-    if s % 2:
-        raise InexactDivisionError(f"S_k odd at k={k}")
-    r = q + s // 2
 
-    # P: terms j and k-j are equal, so the terms j < k/2 count twice and
-    # j = k/2 (k even) once.
+def _p_terms(rows: list[SequenceRow], bk: tuple[int, ...], first: int = 1, step: int = 1) -> int:
+    """The terms j = first, first + step, ... of sum_{j=1}^{k-1} C(k, j) * R_j * R_{k-j}.
+
+    Terms j and k-j are equal, so each j < k/2 counts twice and j = k/2
+    (k even) once.
+    """
+    k = len(rows) + 1
     total = 0
-    for j in range(1, (k + 1) // 2):
+    for j in range(first, (k + 1) // 2, step):
         total += bk[j] * (rows[j - 1].R * rows[k - j - 1].R)
-    total = q + 2 * total
-    if k % 2 == 0:
+    total = 2 * total
+    if k % 2 == 0 and (k // 2 - first) % step == 0:
         mid = rows[k // 2 - 1].R
         total += bk[k // 2] * (mid * mid)
-    p = 2 * total
+    return total
 
-    a = s + p
 
-    if counter is not None:
-        # Per row: S and Q each 1 + 3 per pair + 2 for a middle term, P 2 per
-        # term, 2 for a middle term and 2 doublings, in all 4k - 2 products;
-        # S and Q 2 additions per pair and 1 for a middle term, P 1 per term,
-        # 1 for q and 1 for a middle term, then r and a: (5k - 2) // 2 sums.
-        counter.muls += 4 * k - 2
-        counter.adds += (5 * k - 2) // 2
-        counter.divs += 2
-    return SequenceRow(S=s, Q=q, R=r, P=p, A=a)
+def _serial_sums(
+    rows: list[SequenceRow], bkm1: tuple[int, ...], bk: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """Row k's S_k, its Q numerator 2 Q_k and its P sum, all in this process."""
+    return _paired_sum(rows, bkm1, 3, 4), _paired_sum(rows, bkm1, 0, 2), _p_terms(rows, bk)
+
+
+def _assemble(k: int, s: int, q_sum: int, p_sum: int) -> SequenceRow:
+    """Row k from its three sums, halving only where the halves are exact."""
+    if q_sum % 2:
+        raise InexactDivisionError(f"Q numerator odd at k={k}")
+    q = q_sum // 2
+    if s % 2:
+        raise InexactDivisionError(f"S_k odd at k={k}")
+    p = 2 * (q + p_sum)
+    return SequenceRow(S=s, Q=q, R=q + s // 2, P=p, A=s + p)
+
+
+def _may_split() -> bool:
+    """Whether a forked worker can run beside this process.
+
+    fork must exist, this process must be allowed at least two CPUs, and no
+    other Python thread may run: a fork copies only the calling thread.
+    """
+    threading = sys.modules.get("threading")
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+def _send(fd: int, *values: int) -> None:
+    """Write each value as 8 little-endian length bytes and then its bytes."""
+    data = bytearray()
+    for v in values:
+        size = v.bit_length() // 8 + 1
+        data += size.to_bytes(8, "little") + v.to_bytes(size, "little", signed=True)
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, size: int) -> bytearray:
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError("the other process of a split table closed its pipe")
+        data += chunk
+    return data
+
+
+def _receive(fd: int, count: int) -> list[int]:
+    """``count`` values that `_send` wrote."""
+    values = []
+    for _ in range(count):
+        size = int.from_bytes(_read(fd, 8), "little")
+        values.append(int.from_bytes(_read(fd, size), "little", signed=True))
+    return values
+
+
+class _Split:
+    """A table computed by two processes, as seen from one of them.
+
+    `fork` starts the worker, a copy of this process that holds its own copy
+    of the rows.  For every row from then on, this process (the parent)
+    computes S_k and the odd-j P terms, the worker the Q numerator and the
+    even-j P terms; the parent sends its two sums down one pipe, the worker
+    its two up the other, and each assembles the same row from all four.
+    The worker reads before it writes, so no payload size can deadlock.
+    """
+
+    __slots__ = ("pid", "fds")
+
+    def __init__(self):
+        self.pid: int | None = None  # the worker's pid in the parent, 0 in the worker
+        self.fds: tuple[int, ...] = ()  # this process's ends: read, write
+
+    def fork(self):
+        """Start the worker; returns this process's sums function.
+
+        Without a descriptor or a process to spare, the table stays serial.
+        """
+        import signal  # here: only a split table needs it, and starts stay lean
+
+        # Blocked, SIGINT and SIGALRM (a caller's deadline) cannot interrupt
+        # before the pid and the descriptors are stored, so `end` finds them.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGALRM})
+        try:
+            self.fds = os.pipe()  # parent to worker
+            self.fds += os.pipe()  # worker to parent
+            self.pid = os.fork()
+        except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            return _serial_sums
+        down_r, down_w, up_r, up_w = self.fds
+        if self.pid == 0:
+            # The worker never unblocks SIGINT: a Ctrl-C signals the whole
+            # process group, and the parent ends the worker.
+            os.close(down_w)
+            os.close(up_r)
+            self.fds = (down_r, up_w)
+            return self._worker_sums
+        os.close(down_r)
+        os.close(up_w)
+        self.fds = (up_r, down_w)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return self._parent_sums
+
+    def _parent_sums(self, rows, bkm1, bk):
+        s = _paired_sum(rows, bkm1, 3, 4)
+        odd = _p_terms(rows, bk, 1, 2)
+        try:
+            _send(self.fds[1], s, odd)
+            q_sum, even = _receive(self.fds[0], 2)
+        except (OSError, EOFError) as exc:  # not a BrokenPipeError: stdout is fine
+            raise ChildProcessError(f"the row worker ended at k={len(rows) + 1}") from exc
+        return s, q_sum, odd + even
+
+    def _worker_sums(self, rows, bkm1, bk):
+        q_sum = _paired_sum(rows, bkm1, 0, 2)
+        even = _p_terms(rows, bk, 2, 2)
+        s, odd = _receive(self.fds[0], 2)
+        _send(self.fds[1], q_sum, even)
+        return s, q_sum, odd + even
+
+    def end(self) -> None:
+        """In the worker, exit; in the parent, close the pipes and reap the worker."""
+        if self.pid == 0:
+            os._exit(0)  # no exit handlers, no flush of the parent's buffers
+        for fd in self.fds:
+            os.close(fd)
+        if self.pid:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
@@ -151,13 +290,30 @@ def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
     # Pascal rows k-1 and k: bkm1[j] = C(k-1, j) and bk[j] = C(k, j).
     bkm1: tuple[int, ...] = (1, 1)
     bk: tuple[int, ...] = (1, 2, 1)
-    for k in range(2, n + 1):
-        rows.append(_next_row(rows, bkm1, bk, counter))
-        if k < n:
-            # Drop row k-1 before building row k+1 from C(k+1, j) =
-            # C(k, j) + C(k, j-1): two rows live at a time.
-            bkm1 = bk
-            bk = (1,) + tuple(bkm1[j - 1] + bkm1[j] for j in range(1, k + 1)) + (1,)
+    sums = _serial_sums
+    split = _Split()
+    try:
+        for k in range(2, n + 1):
+            if k == _SPLIT_FROM and _may_split():
+                sums = split.fork()
+            rows.append(_assemble(k, *sums(rows, bkm1, bk)))
             if counter is not None:
-                counter.adds += k
+                # Per row: S and Q each 1 + 3 per pair + 2 for a middle term,
+                # P 2 per term, 2 for a middle term and 2 doublings, in all
+                # 4k - 2 products; S and Q 2 additions per pair and 1 for a
+                # middle term, P 1 per term, 1 for q and 1 for a middle term,
+                # then r and a: (5k - 2) // 2 sums.  A split row makes one
+                # more doubling and addition, not counted here.
+                counter.muls += 4 * k - 2
+                counter.adds += (5 * k - 2) // 2
+                counter.divs += 2
+            if k < n:
+                # Drop row k-1 before building row k+1 from C(k+1, j) =
+                # C(k, j) + C(k, j-1): two rows live at a time.
+                bkm1 = bk
+                bk = (1,) + tuple(bkm1[j - 1] + bkm1[j] for j in range(1, k + 1)) + (1,)
+                if counter is not None:
+                    counter.adds += k
+    finally:
+        split.end()
     return SequenceTable(tuple(rows))

@@ -65,3 +65,16 @@ def test_an_existing_file_is_updated_only_for_its_own_commit_pair(tmp_path):
         out.write_text(json.dumps({"commits": other, "summary": {"verify": {}}}))
         with pytest.raises(SystemExit, match="does not hold runs of"):
             bench_pairs.load(out, commits)
+
+
+def test_a_run_records_its_metrics_and_the_unscaled_median_and_probe():
+    report = {"unscaled": {"op_ms_p50": 12500.1234567, "probe_ms_median": 18.9, "probes": 40}}
+    result = {
+        "correct": True, "attempted": 2, "failed": 0,
+        "metrics": {"op_ms_p50": {"value": 9180.0000004, "unit": "ms"}},
+    }
+    lines = ["progress", json.dumps(report), json.dumps(result)]
+    assert bench_pairs.parse_run(lines) == {
+        "attempted": 2, "failed": 0, "op_ms_p50": 9180.0,
+        "unscaled_op_ms_p50": 12500.123457, "probe_ms_median": 18.9,
+    }

@@ -405,6 +405,25 @@ def test_interrupt_exits_130_silently(capsys, monkeypatch):
     assert (code, out, err) == (130, "", "")
 
 
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+def test_ctrl_c_of_a_long_count_leaves_no_process():
+    # Ctrl-C signals the whole process group, the engine's worker included
+    # when the table is split over two processes.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "exprcount.cli", "count", "--n", "3000"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True
+    ) as proc:
+        try:
+            proc.wait(timeout=2)  # well past the fork, far from the end
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGINT)
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (130, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_2_silently(unbuffered):
     # 618,765 bytes of JSON, about ten pipe buffers: the reader closes the
@@ -460,8 +479,9 @@ def test_stdout_closed_in_mid_write_exits_2_silently():
 
 def test_start_loads_no_code_generation_or_typing():
     # dataclasses (with inspect, ast, dis and tokenize behind it) and typing
-    # were most of each command's import time.  A fresh interpreter, as this
-    # one has them all; diffing sys.modules ignores whatever site loads.
+    # were most of each command's import time, and a process pool would add
+    # more: the engine's split forks with os alone.  A fresh interpreter, as
+    # this one has them all; diffing sys.modules ignores whatever site loads.
     newly_loaded = (
         "import sys; before = set(sys.modules); import exprcount.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -471,6 +491,7 @@ def test_start_loads_no_code_generation_or_typing():
     loaded = set(run.stdout.split())
     assert "exprcount.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
+    assert loaded.isdisjoint({"multiprocessing", "concurrent.futures", "pickle", "subprocess"})
 
 
 class _ClosedStream(io.TextIOBase):

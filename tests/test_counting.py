@@ -2,6 +2,7 @@
 
 import hashlib
 import operator
+import os
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -148,6 +149,121 @@ def test_bench_line_states_the_closed_form(capsys):
     assert 2046 == sum(4 * k - 2 for k in range(2, n + 1)) == 2 * n * n - 2
     assert 1774 == sum((5 * k - 2) // 2 for k in range(2, n + 1)) + sum(range(2, n))
     assert 62 == 2 * (n - 1)
+
+
+SPLIT_FROM = counting._SPLIT_FROM
+
+
+def _serial_table(monkeypatch, n, counter=None):
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_may_split", lambda: False)
+        return compute_table(n, counter)
+
+
+@pytest.mark.parametrize("n", [SPLIT_FROM - 1, SPLIT_FROM, SPLIT_FROM + 1, 400])
+def test_split_rows_equal_serial_rows(monkeypatch, n):
+    forks = []
+    fork = counting._Split.fork
+
+    def counted_fork(split):
+        forks.append(n)
+        return fork(split)
+
+    monkeypatch.setattr(counting._Split, "fork", counted_fork)
+    rows = compute_table(n).rows
+    assert len(forks) == (n >= SPLIT_FROM and counting._may_split())
+    assert rows == _serial_table(monkeypatch, n).rows
+
+
+def test_split_keeps_the_op_tallies(monkeypatch):
+    split, serial = OpCounter(), OpCounter()
+    compute_table(512, split)
+    _serial_table(monkeypatch, 512, serial)
+    assert (split.muls, split.adds, split.divs) == (serial.muls, serial.adds, serial.divs)
+
+
+def _leaves_nothing_open(run):
+    """Run ``run()`` and check that it left no child process and no descriptor."""
+    fds = set(os.listdir("/proc/self/fd"))
+    try:
+        run()
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def _at_row(monkeypatch, k, fault, in_worker=False):
+    """Make the assembly of row k call ``fault`` first, in the worker or the parent."""
+    parent, assemble = os.getpid(), counting._assemble
+
+    def planted(kk, *sums):
+        if kk == k and (os.getpid() != parent) == in_worker:
+            fault()
+        return assemble(kk, *sums)
+
+    monkeypatch.setattr(counting, "_assemble", planted)
+
+
+needs_split = pytest.mark.skipif(
+    not (counting._may_split() and os.path.isdir("/proc/self/fd")),
+    reason="the table is computed in one process here",
+)
+
+
+@needs_split
+def test_split_leaves_no_process_after_a_normal_return():
+    _leaves_nothing_open(lambda: compute_table(SPLIT_FROM + 20))
+
+
+@needs_split
+def test_split_odd_halving_raises_in_the_parent(monkeypatch):
+    # Both processes assemble row k from the same sums, so both fail there.
+    assemble, k = counting._assemble, SPLIT_FROM + 5
+    monkeypatch.setattr(
+        counting, "_assemble", lambda kk, s, q, p: assemble(kk, s, q + (kk == k), p)
+    )
+
+    def run():
+        with pytest.raises(InexactDivisionError, match=f"Q numerator odd at k={k}$"):
+            compute_table(SPLIT_FROM + 20)
+
+    _leaves_nothing_open(run)
+
+
+@needs_split
+def test_split_interrupt_ends_the_worker(monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    _at_row(monkeypatch, SPLIT_FROM + 5, interrupt)
+
+    def run():
+        with pytest.raises(KeyboardInterrupt):
+            compute_table(SPLIT_FROM + 20)
+
+    _leaves_nothing_open(run)
+
+
+@needs_split
+def test_split_worker_that_dies_is_an_error_not_a_closed_stdout(monkeypatch):
+    _at_row(monkeypatch, SPLIT_FROM + 5, lambda: os._exit(1), in_worker=True)
+
+    def run():
+        with pytest.raises(ChildProcessError, match=f"the row worker ended at k={SPLIT_FROM + 6}$"):
+            compute_table(SPLIT_FROM + 20)
+
+    _leaves_nothing_open(run)
+
+
+@needs_split
+def test_split_stays_serial_when_fork_fails(monkeypatch):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    _leaves_nothing_open(lambda: compute_table(SPLIT_FROM + 20))
+    assert compute_table(SPLIT_FROM + 20).rows == _serial_table(monkeypatch, SPLIT_FROM + 20).rows
 
 
 def _tallying_int(tally):
