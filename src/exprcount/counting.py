@@ -39,21 +39,14 @@ Only two Pascal-triangle rows are alive at any point, giving linear memory
 in stored integers and a quadratic operation count overall.
 
 From row 100 on, where os.fork exists and the process may run on at least
-two CPUs, each row is split over two processes.  The calling process (the
-parent) computes S_k and the odd-j terms of the P sum; a forked worker,
-which holds its own copy of the rows, computes the Q numerator and the
-even-j terms.  Once per row the two swap these four sums over two pipes,
-and each assembles the row from them with the same exactness checks.  Every
-sum is an exact integer, so both processes hold the rows the serial engine
-would, whichever process computed a sum: the output does not depend on the
-split.  The parent raises every error itself, and it kills and reaps the
-worker however the table ends, an interrupt included.
+two CPUs, each row is split over two processes: the caller computes S_k
+and half of the P sum, a forked worker the Q numerator and the other half,
+and both assemble the row from the four exact sums (exprcount._split), so
+the rows are the serial engine's.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from collections import namedtuple
 
 
@@ -154,129 +147,6 @@ def _assemble(k: int, s: int, q_sum: int, p_sum: int) -> SequenceRow:
     return SequenceRow(S=s, Q=q, R=q + s // 2, P=p, A=s + p)
 
 
-def _may_split() -> bool:
-    """Whether a forked worker can run beside this process.
-
-    fork must exist, this process must be allowed at least two CPUs, and no
-    other Python thread may run: a fork copies only the calling thread.
-    """
-    threading = sys.modules.get("threading")
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) > 1
-        and (threading is None or threading.active_count() == 1)
-    )
-
-
-def _send(fd: int, *values: int) -> None:
-    """Write each value as 8 little-endian length bytes and then its bytes."""
-    data = bytearray()
-    for v in values:
-        size = v.bit_length() // 8 + 1
-        data += size.to_bytes(8, "little") + v.to_bytes(size, "little", signed=True)
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read(fd: int, size: int) -> bytearray:
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError("the other process of a split table closed its pipe")
-        data += chunk
-    return data
-
-
-def _receive(fd: int, count: int) -> list[int]:
-    """``count`` values that `_send` wrote."""
-    values = []
-    for _ in range(count):
-        size = int.from_bytes(_read(fd, 8), "little")
-        values.append(int.from_bytes(_read(fd, size), "little", signed=True))
-    return values
-
-
-class _Split:
-    """A table computed by two processes, as seen from one of them.
-
-    `fork` starts the worker, a copy of this process that holds its own copy
-    of the rows.  For every row from then on, this process (the parent)
-    computes S_k and the odd-j P terms, the worker the Q numerator and the
-    even-j P terms; the parent sends its two sums down one pipe, the worker
-    its two up the other, and each assembles the same row from all four.
-    The worker reads before it writes, so no payload size can deadlock.
-    """
-
-    __slots__ = ("pid", "fds")
-
-    def __init__(self):
-        self.pid: int | None = None  # the worker's pid in the parent, 0 in the worker
-        self.fds: tuple[int, ...] = ()  # this process's ends: read, write
-
-    def fork(self):
-        """Start the worker; returns this process's sums function.
-
-        Without a descriptor or a process to spare, the table stays serial.
-        """
-        import signal  # here: only a split table needs it, and starts stay lean
-
-        # Blocked, SIGINT and SIGALRM (a caller's deadline) cannot interrupt
-        # before the pid and the descriptors are stored, so `end` finds them.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGALRM})
-        try:
-            self.fds = os.pipe()  # parent to worker
-            self.fds += os.pipe()  # worker to parent
-            self.pid = os.fork()
-        except OSError:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            return _serial_sums
-        down_r, down_w, up_r, up_w = self.fds
-        if self.pid == 0:
-            # The worker never unblocks SIGINT: a Ctrl-C signals the whole
-            # process group, and the parent ends the worker.
-            os.close(down_w)
-            os.close(up_r)
-            self.fds = (down_r, up_w)
-            return self._worker_sums
-        os.close(down_r)
-        os.close(up_w)
-        self.fds = (up_r, down_w)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return self._parent_sums
-
-    def _parent_sums(self, rows, bkm1, bk):
-        s = _paired_sum(rows, bkm1, 3, 4)
-        odd = _p_terms(rows, bk, 1, 2)
-        try:
-            _send(self.fds[1], s, odd)
-            q_sum, even = _receive(self.fds[0], 2)
-        except (OSError, EOFError) as exc:  # not a BrokenPipeError: stdout is fine
-            raise ChildProcessError(f"the row worker ended at k={len(rows) + 1}") from exc
-        return s, q_sum, odd + even
-
-    def _worker_sums(self, rows, bkm1, bk):
-        q_sum = _paired_sum(rows, bkm1, 0, 2)
-        even = _p_terms(rows, bk, 2, 2)
-        s, odd = _receive(self.fds[0], 2)
-        _send(self.fds[1], q_sum, even)
-        return s, q_sum, odd + even
-
-    def end(self) -> None:
-        """In the worker, exit; in the parent, close the pipes and reap the worker."""
-        if self.pid == 0:
-            os._exit(0)  # no exit handlers, no flush of the parent's buffers
-        for fd in self.fds:
-            os.close(fd)
-        if self.pid:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-
-
 def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
     """All five sequences for k = 1..n.
 
@@ -291,10 +161,13 @@ def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
     bkm1: tuple[int, ...] = (1, 1)
     bk: tuple[int, ...] = (1, 2, 1)
     sums = _serial_sums
-    split = _Split()
+    split = None
     try:
         for k in range(2, n + 1):
-            if k == _SPLIT_FROM and _may_split():
+            if k == _SPLIT_FROM:
+                from ._split import Split  # here: a start compiles none of it
+
+                split = Split()
                 sums = split.fork()
             rows.append(_assemble(k, *sums(rows, bkm1, bk)))
             if counter is not None:
@@ -315,5 +188,6 @@ def compute_table(n: int, counter: OpCounter | None = None) -> SequenceTable:
                 if counter is not None:
                     counter.adds += k
     finally:
-        split.end()
+        if split is not None:
+            split.end()  # in the worker, exits
     return SequenceTable(tuple(rows))

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, formats, exit codes, serialized counts."""
 
+import contextlib
 import csv
 import io
 import json
@@ -411,17 +412,21 @@ def test_ctrl_c_of_a_long_count_leaves_no_process():
     # when the table is split over two processes.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = [sys.executable, "-m", "exprcount.cli", "count", "--n", "3000"]
-    with subprocess.Popen(
+    proc = subprocess.Popen(
         argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True
-    ) as proc:
-        try:
+    )
+    try:
+        with pytest.raises(subprocess.TimeoutExpired):
             proc.wait(timeout=2)  # well past the fork, far from the end
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGINT)
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (130, b"")
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (130, b"")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:  # whatever a failure left running
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -18,6 +18,7 @@ from exprcount import (
     compute_table,
     counting,
 )
+from exprcount import _split
 from exprcount.cli import main
 
 
@@ -156,23 +157,35 @@ SPLIT_FROM = counting._SPLIT_FROM
 
 def _serial_table(monkeypatch, n, counter=None):
     with monkeypatch.context() as m:
-        m.setattr(counting, "_may_split", lambda: False)
+        m.setattr(_split, "may_split", lambda: False)
         return compute_table(n, counter)
 
 
 @pytest.mark.parametrize("n", [SPLIT_FROM - 1, SPLIT_FROM, SPLIT_FROM + 1, 400])
 def test_split_rows_equal_serial_rows(monkeypatch, n):
-    forks = []
-    fork = counting._Split.fork
+    forks, fork = [], os.fork
 
-    def counted_fork(split):
+    def counted_fork():
         forks.append(n)
-        return fork(split)
+        return fork()
 
-    monkeypatch.setattr(counting._Split, "fork", counted_fork)
+    monkeypatch.setattr(os, "fork", counted_fork)
     rows = compute_table(n).rows
-    assert len(forks) == (n >= SPLIT_FROM and counting._may_split())
+    assert len(forks) == (n >= SPLIT_FROM and _split.may_split())
     assert rows == _serial_table(monkeypatch, n).rows
+
+
+def test_one_cpu_keeps_the_table_in_one_process(monkeypatch):
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    compute_table(SPLIT_FROM + 1)
+    assert forks == []
 
 
 def test_split_keeps_the_op_tallies(monkeypatch):
@@ -206,7 +219,7 @@ def _at_row(monkeypatch, k, fault, in_worker=False):
 
 
 needs_split = pytest.mark.skipif(
-    not (counting._may_split() and os.path.isdir("/proc/self/fd")),
+    not (_split.may_split() and os.path.isdir("/proc/self/fd")),
     reason="the table is computed in one process here",
 )
 
@@ -262,8 +275,9 @@ def test_split_stays_serial_when_fork_fails(monkeypatch):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_process)
-    _leaves_nothing_open(lambda: compute_table(SPLIT_FROM + 20))
-    assert compute_table(SPLIT_FROM + 20).rows == _serial_table(monkeypatch, SPLIT_FROM + 20).rows
+    tables = []
+    _leaves_nothing_open(lambda: tables.append(compute_table(SPLIT_FROM + 20)))
+    assert tables[0].rows == _serial_table(monkeypatch, SPLIT_FROM + 20).rows
 
 
 def _tallying_int(tally):
