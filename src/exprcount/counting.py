@@ -39,10 +39,11 @@ Only two Pascal-triangle rows are alive at any point, giving linear memory
 in stored integers and a quadratic operation count overall.
 
 From row 100 on, where os.fork exists and the process may run on at least
-two CPUs, each row is split over two processes: the caller computes S_k
-and half of the P sum, a forked worker the Q numerator and the other half,
-and both assemble the row from the four exact sums (exprcount._split), so
-the rows are the serial engine's.
+two CPUs, each row is split over two processes (exprcount._split): the
+caller computes S_k and the odd-j P terms, a forked worker the Q numerator
+and the even-j terms, the two swap these sums once per row over two pipes,
+and both assemble the row with the same checks.  The sums are exact, so
+the rows are the serial engine's, whichever process computed each sum.
 """
 
 from __future__ import annotations
