@@ -485,8 +485,9 @@ def test_stdout_closed_in_mid_write_exits_2_silently():
 def test_start_loads_no_code_generation_or_typing():
     # dataclasses (with inspect, ast, dis and tokenize behind it) and typing
     # were most of each command's import time, and a process pool would add
-    # more: the engine's split forks with os alone.  A fresh interpreter, as
-    # this one has them all; diffing sys.modules ignores whatever site loads.
+    # more: the engine's split needs only os and signal.  A fresh
+    # interpreter, as this one has them all; diffing sys.modules ignores
+    # whatever site loads.
     newly_loaded = (
         "import sys; before = set(sys.modules); import exprcount.cli; "
         "print(*sorted(set(sys.modules) - before))"
