@@ -220,15 +220,6 @@ def test_csv_values_are_exact_decimal_strings(capsys):
     assert "e" not in last[-1].lower()
 
 
-def test_equiv_is_symmetric_and_reflexive(capsys):
-    for pair in [("a/b", "b/a"), ("a+b*c", "(b*c)+a")]:
-        fwd, _, _ = run(capsys, "equiv", *pair)
-        rev, _, _ = run(capsys, "equiv", *reversed(pair))
-        assert fwd == rev
-    code, _, _ = run(capsys, "equiv", "a*(b+c)", "a*(b+c)")
-    assert code == 0
-
-
 def test_canon_output(capsys):
     code, out, _ = run(capsys, "canon", "(a*b)/c")
     assert code == 0

@@ -174,12 +174,6 @@ def test_grammar_union_equals_tree_classes():
         assert len(classes) == table.row(k).A
 
 
-def test_classes_have_full_variable_sets():
-    for k in (1, 2, 3):
-        full = frozenset(range(1, k + 1))
-        assert all(f.variables() == full for f in enumerate_tree_classes(k).classes)
-
-
 def _grammar_builder(k, cutoff=None):
     """A builder holding every list the k-variable grammar memoizes."""
     builder = _GrammarBuilder()

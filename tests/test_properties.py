@@ -4,10 +4,10 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from exprcount import NameMap, eliminate_subtraction, evaluate, parse, render
+from exprcount import Leaf, NameMap, Neg, Sub, eliminate_subtraction, evaluate, parse, render
 from exprcount.cli import main
 from genlib import random_tree
-from test_expressions import _has_sub, _mirror
+from test_expressions import _mirror
 
 
 def _value(tree):
@@ -15,6 +15,22 @@ def _value(tree):
         return evaluate(tree)
     except ZeroDivisionError:
         return ZeroDivisionError
+
+
+def _has_sub(tree):
+    if isinstance(tree, Leaf):
+        return False
+    if isinstance(tree, Neg):
+        return _has_sub(tree.child)
+    return isinstance(tree, Sub) or _has_sub(tree.left) or _has_sub(tree.right)
+
+
+def _has_stacked_neg(tree):
+    if isinstance(tree, Leaf):
+        return False
+    if isinstance(tree, Neg):
+        return isinstance(tree.child, Neg) or _has_stacked_neg(tree.child)
+    return _has_stacked_neg(tree.left) or _has_stacked_neg(tree.right)
 
 
 def _equiv(lhs, rhs):
@@ -55,6 +71,7 @@ def test_eliminate_subtraction_keeps_value():
         tree = random_tree(rnd, 4)
         flat = eliminate_subtraction(tree)
         assert not _has_sub(flat)
+        assert not _has_stacked_neg(flat)
         assert _value(flat) == _value(tree)
         zero_divisions += _value(tree) is ZeroDivisionError
     assert 0 < zero_divisions < 100
