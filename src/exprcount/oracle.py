@@ -20,14 +20,16 @@ minus at any node position but never directly on top of another one):
 
 * ``enumerate_grammar`` builds sum-type / product-type / Pi1 / Pi2
   expressions structurally from their decompositions over variable
-  subsets, visiting each unordered split once.  Every kind is built and
-  memoized as one member per +/- pair; only its returned ``sum`` and
-  ``product`` lists are signed, those members and then their negations.
+  subsets, visiting each unordered split once.  Every kind is built as
+  one member per +/- pair; only its returned ``sum`` and ``product``
+  lists are signed, those members and then their negations.
   Its output lists must be duplicate-free and exactly as long as the
   corresponding engine sequences; the tests enforce both.
 
 One ``_GrammarBuilder`` holds both routes' subset lists, each memoized
-per (route method, subset), and the one converter to ``Frac``.
+per (route, subset), and the one converter to ``Frac``.  Both routes
+convert the members on x1..xk as they are built and memoize only the
+lists of proper subsets, which every split reads many times.
 
 Both routes compute on one exact encoding, private to this module, and
 build ``Frac`` values only on return.  A monomial is a variable set held
@@ -83,9 +85,9 @@ Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache, cached_property, lru_cache, wraps
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
 from .polys import Poly
@@ -197,15 +199,15 @@ def _key(x: Value, width: int) -> int:
     return nP | nN << width | dP << 2 * width | dN << 3 * width
 
 
-def _converter() -> Callable[[list[Value], bool], list[Frac]]:
-    """Value lists -> Frac lists, from cached polynomials and signs.
+def _converter() -> Callable[[Iterable[Value], bool], Iterator[Frac]]:
+    """Values -> Fracs, from cached polynomials and signs.
 
     Each Poly is built once per (P, N) from the set bits of P | N in
     ascending mask order.  Each denominator (dP, dN) is looked up once in
     one cache that holds its Poly and whether the pair leads negative; a
     pair that does is read as (nN, nP, dN, dP), so no negated copy is made.
-    The returned function converts a list in one pass, and with
-    ``signed`` true appends the negations, each converted from
+    The returned generator converts each value as it arrives, and with
+    ``signed`` true yields the negations, each converted from
     (nN, nP, dP, dN), after the values.  A mask's monomial does not
     depend on k, so one table of the masks below 1 << MAX_K serves every k.
     """
@@ -231,17 +233,16 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
             return poly(dN, dP), True
         return den, False
 
-    def convert(values: list[Value], signed: bool = False) -> list[Frac]:
-        out, negations, raw = [], [], Frac._raw
+    def convert(values: Iterable[Value], signed: bool = False) -> Iterator[Frac]:
+        negations, raw = [], Frac._raw
         for nP, nN, dP, dN in values:
             den, flips = denominator(dP, dN)
             if flips:
                 nP, nN = nN, nP
-            out.append(raw(poly(nP, nN), den))
+            yield raw(poly(nP, nN), den)
             if signed:
                 negations.append(raw(poly(nN, nP), den))
-        out += negations
-        return out
+        yield from negations
 
     return convert
 
@@ -249,12 +250,13 @@ def _converter() -> Callable[[list[Value], bool], list[Frac]]:
 def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
     """Deduplicated values of all expression trees on variables x1..xk.
 
-    The ``tree_reps`` of x1..xk, each with its negation, as ``Frac``
-    values; the subset lists are memoized in one fresh ``_GrammarBuilder``.
+    The tree walk's members on x1..xk, each with its negation, as ``Frac``
+    values, converted as the walk yields them; the proper subsets' lists
+    are memoized in one fresh ``_GrammarBuilder``.
     """
     _check_k(k, cutoff)
     b = _GrammarBuilder()
-    return ClassSet(b._convert(b.tree_reps(frozenset(range(1, k + 1))), signed=True))
+    return ClassSet(b._convert(b.iter_tree_reps(frozenset(range(1, k + 1))), signed=True))
 
 
 def count_tree_classes(k: int, cutoff: int | None = None) -> int:
@@ -315,25 +317,31 @@ def _memoized(method):
 class _GrammarBuilder:
     """Both enumeration routes' lists over variable subsets, in one memo.
 
-    The tree route's ``tree_reps`` and the grammar's four kinds are each
-    memoized per (method, subset), so one builder holds both routes' lists
-    and keeps them apart.  Sum-type values on V split uniquely into the
+    The tree route and the grammar's four kinds each have a generator,
+    ``iter_*_reps``, that yields the members on one variable set in list
+    order, and a ``*_reps`` method that lists them, memoized per (method,
+    subset), so one builder holds both routes' lists and keeps them apart.
+    A generator reads the lists of proper subsets, which every split reads
+    many times, and streams the other kinds it needs on its own set, so a
+    top level streamed through it is never held as a list.  The memoized
+    ``pi1`` and ``product`` lists instead share the ``pi2`` and ``sum``
+    lists on their set.  Sum-type values on V split uniquely into the
     product-type summand containing min(V) and the remaining sum; products
     split into the numerator/denominator factor groups, counted up to
-    sign.  Every kind is built as one member per +/- pair (the ``*_reps``
-    lists), and no signed list is held.  Each class is generated exactly
-    once -- the uniqueness theorems for these decompositions are what the
-    duplicate-freedom tests exercise.  Callers must not mutate a memoized
-    list.  The builder also keeps one ``_converter``, built on first use
-    (``count_tree_classes`` never needs one), so calls that share the
-    builder share its polynomials and sign decisions.
+    sign.  Every kind is built as one member per +/- pair, and no signed
+    list is held.  Each class is generated exactly once -- the uniqueness
+    theorems for these decompositions are what the duplicate-freedom tests
+    exercise.  Callers must not mutate a memoized list.  The builder also
+    keeps one ``_converter``, built on first use (``count_tree_classes``
+    never needs one), so calls that share the builder share its
+    polynomials and sign decisions.
     """
 
     def __init__(self) -> None:
         self._memo = {}  # (method, vars_) -> list
 
     @cached_property
-    def _convert(self) -> Callable[[list[Value], bool], list[Frac]]:
+    def _convert(self) -> Callable[[Iterable[Value], bool], Iterator[Frac]]:
         return _converter()
 
     def tree_candidates(self, vars_: frozenset[int]) -> Iterator[Value]:
@@ -352,19 +360,19 @@ class _GrammarBuilder:
                     q = _product(u, w_inv)
                     yield from (*_sums(u, w), _product(u, w), q, _reciprocal(q))
 
-    @_memoized
-    def tree_reps(self, vars_: frozenset[int]) -> list[Value]:
-        """One value per +/- pair of the values of every tree on vars_, the first one reached."""
-        width, seen, reps = 1 << max(vars_), set(), []
+    def iter_tree_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
+        """One value per +/- pair of the values of every tree on vars_, the first one reached.
+
+        Only the keys of the pairs already reached are held.
+        """
+        width, seen = 1 << max(vars_), set()
         for r in self.tree_candidates(vars_):
             n = len(seen)
             seen.add(_key(r, width))
             if len(seen) > n:
-                reps.append(r)
-        return reps
+                yield r
 
-    @_memoized
-    def sum_reps(self, vars_: frozenset[int]) -> list[Value]:
+    def iter_sum_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
         """Sums p + a, p a product-type head holding min(vars_), a any tail.
 
         -(p + a) = -p + (-a), so heads from one member of each +/- pair and
@@ -374,28 +382,55 @@ class _GrammarBuilder:
         gives every p + t, then every p - t.
         """
         if len(vars_) == 1:
-            return [_leaf(min(vars_))]
-        out = []
-        for head_vars, tail_vars in _splits(vars_):
+            yield _leaf(min(vars_))
+        for head_vars, tail_vars in _splits(vars_):  # none for a single variable
             tail_lists = [self.sum_reps(tail_vars)]
             if len(tail_vars) > 1:
                 tail_lists.append(self.product_reps(tail_vars))
             for p in self.product_reps(head_vars):
                 for tails in tail_lists:
                     pluses, minuses = zip(*(_sums(p, t) for t in tails))
-                    out += pluses + minuses
-        return out
+                    yield from pluses
+                    yield from minuses
 
-    @_memoized
-    def pi2_reps(self, vars_: frozenset[int]) -> list[Value]:
+    def iter_pi2_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
         """Products of >= 2 sum-type factors on disjoint variables, up to sign."""
-        out = []
         for head_vars, tail_vars in _splits(vars_):
             tails = self.pi1_reps(tail_vars)
             for s in self.sum_reps(head_vars):
                 for r in tails:
-                    out.append(_product(s, r))
-        return out
+                    yield _product(s, r)
+
+    def iter_pi1_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
+        return chain(self.iter_pi2_reps(vars_), self.iter_sum_reps(vars_))
+
+    def iter_product_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
+        """Pi2 products and each quotient n/d of Pi1 values with its reciprocal, up to sign."""
+        if len(vars_) == 1:
+            return self.iter_sum_reps(vars_)
+        return chain(self.iter_pi2_reps(vars_), self._iter_quotients(vars_))
+
+    def _iter_quotients(self, vars_: frozenset[int]) -> Iterator[Value]:
+        """Each quotient n/d of Pi1 values over a split of vars_, then its reciprocal."""
+        for num_vars, den_vars in _splits(vars_):
+            inverses = [_reciprocal(d) for d in self.pi1_reps(den_vars)]
+            for n in self.pi1_reps(num_vars):
+                for d_inv in inverses:
+                    f = _product(n, d_inv)
+                    yield f
+                    yield _reciprocal(f)
+
+    @_memoized
+    def tree_reps(self, vars_: frozenset[int]) -> list[Value]:
+        return list(self.iter_tree_reps(vars_))
+
+    @_memoized
+    def sum_reps(self, vars_: frozenset[int]) -> list[Value]:
+        return list(self.iter_sum_reps(vars_))
+
+    @_memoized
+    def pi2_reps(self, vars_: frozenset[int]) -> list[Value]:
+        return list(self.iter_pi2_reps(vars_))
 
     @_memoized
     def pi1_reps(self, vars_: frozenset[int]) -> list[Value]:
@@ -403,17 +438,9 @@ class _GrammarBuilder:
 
     @_memoized
     def product_reps(self, vars_: frozenset[int]) -> list[Value]:
-        """Pi2 products and each quotient n/d of Pi1 values with its reciprocal, up to sign."""
         if len(vars_) == 1:
             return self.sum_reps(vars_)
-        out = list(self.pi2_reps(vars_))
-        for num_vars, den_vars in _splits(vars_):
-            inverses = [_reciprocal(d) for d in self.pi1_reps(den_vars)]
-            for n in self.pi1_reps(num_vars):
-                for d_inv in inverses:
-                    f = _product(n, d_inv)
-                    out += (f, _reciprocal(f))
-        return out
+        return self.pi2_reps(vars_) + list(self._iter_quotients(vars_))
 
 
 def enumerate_grammar(
@@ -424,13 +451,21 @@ def enumerate_grammar(
     ``kind`` is one of ``sum``, ``product``, ``pi1``, ``pi2``.  Each kind
     is built as one member per sign pair: ``pi1`` and ``pi2`` return those
     members, ``sum`` and ``product`` the members followed by their
-    negations, formed here and not memoized.  List order is deterministic;
-    each quotient of a product list sits next to its reciprocal, and the
-    sums built from them follow that order.
+    negations, formed here.  The members on x1..xk are converted as they
+    are built, and only the lists of proper subsets are memoized in the
+    builder.  List order is deterministic; each quotient of a product list
+    sits next to its reciprocal, and the sums built from them follow that
+    order.
     """
     _check_k(k, cutoff)
     b = builder if builder is not None else _GrammarBuilder()
-    lists = {"sum": b.sum_reps, "product": b.product_reps, "pi1": b.pi1_reps, "pi2": b.pi2_reps}
-    if kind not in lists:
+    members = {
+        "sum": b.iter_sum_reps,
+        "product": b.iter_product_reps,
+        "pi1": b.iter_pi1_reps,
+        "pi2": b.iter_pi2_reps,
+    }
+    if kind not in members:
         raise ValueError(f"unknown grammar kind {kind!r}")
-    return b._convert(lists[kind](frozenset(range(1, k + 1))), kind in ("sum", "product"))
+    full = frozenset(range(1, k + 1))
+    return list(b._convert(members[kind](full), kind in ("sum", "product")))

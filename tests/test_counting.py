@@ -4,6 +4,8 @@ exactness errors, operation tallies, the two-process split, and the closed forms
 import hashlib
 import operator
 import os
+import random
+import signal
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -239,6 +241,49 @@ def test_split_stays_serial_when_fork_fails(monkeypatch):
     tables = []
     _leaves_nothing_open(lambda: tables.append(compute_table(SPLIT_FROM + 20)))
     assert tables[0].rows == _serial_table(monkeypatch, SPLIT_FROM + 20).rows
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_split_pipes_carry_sums_far_larger_than_a_pipe_buffer():
+    # Two sums of 1 MiB each way, 16 times a 64 KiB pipe buffer: the child
+    # receives and then sends, as the worker does, so neither side blocks for good.
+    rnd = random.Random(7)
+    sums = [rnd.getrandbits(1 << 23), -rnd.getrandbits(1 << 23)]
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            _split._send(up_w, *_split._receive(down_r, 2))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(down_r)
+    os.close(up_w)
+
+    def deadline(signum, frame):
+        raise TimeoutError("the pipes deadlocked")
+
+    previous = signal.signal(signal.SIGALRM, deadline)
+    signal.alarm(30)
+    try:
+        _split._send(down_w, *sums)
+        got = _split._receive(up_r, 2)
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(down_w)
+        os.close(up_r)
+    assert got == sums
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _tallying_int(tally):

@@ -41,12 +41,12 @@ CONVERT = _converter()
 
 def _frac(x):
     """One oracle value as a Frac."""
-    return CONVERT([x])[0]
+    return next(CONVERT([x]))
 
 
 def _fracs(values):
     """Oracle values as Fracs, in order."""
-    return CONVERT(list(values))
+    return list(CONVERT(values))
 
 
 def test_shape_counts_are_catalan():
@@ -174,12 +174,46 @@ def test_grammar_union_equals_tree_classes():
         assert len(classes) == table.row(k).A
 
 
-def _grammar_builder(k, cutoff=None):
-    """A builder holding every list the k-variable grammar memoizes."""
+def _grammar_builder(k):
+    """A builder holding every grammar list on every subset of x1..xk.
+
+    ``enumerate_grammar`` streams the lists on x1..xk itself, so direct
+    method calls memoize those too.
+    """
     builder = _GrammarBuilder()
-    for kind in ("sum", "product", "pi1", "pi2"):
-        enumerate_grammar(k, kind, cutoff=cutoff, builder=builder)
+    full = frozenset(range(1, k + 1))
+    for reps_of in (builder.sum_reps, builder.product_reps, builder.pi1_reps, builder.pi2_reps):
+        reps_of(full)
     return builder
+
+
+def _proper_subsets(k):
+    return {frozenset(c) for m in range(1, k) for c in combinations(range(1, k + 1), m)}
+
+
+def test_top_level_lists_are_streamed_not_memoized(monkeypatch):
+    # both routes memoize every proper subset of x1..xk and never x1..xk
+    # itself; a repeated call on the same builder builds an equal list again
+    kinds = ("sum", "product", "pi1", "pi2")
+    for k in range(1, 6):
+        builder = _GrammarBuilder()
+        for kind in kinds:
+            first = enumerate_grammar(k, kind, cutoff=5, builder=builder)
+            assert enumerate_grammar(k, kind, cutoff=5, builder=builder) == first
+        assert {vars_ for _, vars_ in builder._memo} == _proper_subsets(k)
+    builders = []
+
+    class Recorded(_GrammarBuilder):
+        def __init__(self):
+            super().__init__()
+            builders.append(self)
+
+    monkeypatch.setattr(oracle, "_GrammarBuilder", Recorded)
+    for k in range(1, 6):
+        assert len(enumerate_tree_classes(k, cutoff=5)) == count_tree_classes(k, cutoff=5)
+        for builder in builders[-2:]:  # the classes' and the count's
+            assert {vars_ for _, vars_ in builder._memo} == _proper_subsets(k)
+    assert len(builders) == 10
 
 
 def test_coefficient_bound_and_disjoint_supports():
@@ -195,7 +229,7 @@ def test_coefficient_bound_and_disjoint_supports():
         assert _frac(x).variables() == vars_
 
     for k in (1, 2, 3, 4, 5):
-        builder = _grammar_builder(k, cutoff=5)
+        builder = _grammar_builder(k)
         builder.tree_reps(frozenset(range(1, k + 1)))
         lists = builder._memo
         # one member per sign pair only: a signed list in the memo fails here
@@ -384,7 +418,7 @@ def test_converter_matches_canonicalize():
     # of x1..x5, so every value of k <= 5): the converted Frac is the gcd
     # route's canonical pair, its denominator leads positive, and a signed
     # conversion appends its negation
-    builder = _grammar_builder(5, cutoff=5)
+    builder = _grammar_builder(5)
     builder.tree_reps(frozenset(range(1, 6)))
     for x in {x for values in builder._memo.values() for x in values}:
         nP, nN, dP, dN = x
@@ -552,7 +586,7 @@ def test_grammar_reps_hold_one_member_of_each_sign_pair():
 
 @pytest.mark.exact_k6
 def test_exact_k6_tree_and_grammar_routes():
-    # A_6 by both exact routes as Frac values; about 21 s and 0.4 GB, so
+    # A_6 by both exact routes as Frac values; about 14 s and 0.34 GB, so
     # deselected by default (see pyproject.toml) and run with `pytest -m exact_k6`.
     row = compute_table(6).row(6)
     classes = enumerate_tree_classes(6, cutoff=6).classes
