@@ -375,9 +375,7 @@ def test_tree_memo_holds_one_value_per_sign_pair():
         builder.tree_reps(full)
         assert {method.__name__ for method, _ in builder._memo} == {"tree_reps"}
         memo = {vars_: reps for (_, vars_), reps in builder._memo.items()}
-        assert set(memo) == {
-            frozenset(c) for m in range(1, k + 1) for c in combinations(range(1, k + 1), m)
-        }
+        assert set(memo) == _proper_subsets(k) | {full}
         for reps in memo.values():
             # 2n distinct values: no repeat, and never both f and -f
             fracs = _fracs(reps)
