@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from itertools import chain
 
 from .counting import OpCounter, SequenceRow, SequenceTable, compute_table
-from .expressions import ExprSyntaxError, NameMap, _evaluator, evaluate, parse
+from .expressions import ExprSyntaxError, NameMap, _evaluator, _residues_differ, evaluate, parse
 from .oracle import DEFAULT_CUTOFF, MAX_K, count_tree_classes
 
 
@@ -148,6 +148,11 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     names = NameMap()
     left, _ = parse(args.expr1, names)
     right, _ = parse(args.expr2, names)
+    # residues that differ at one point answer without expanding a
+    # polynomial; only the exact path below may answer "equivalent"
+    if _residues_differ(left, right):
+        print("inequivalent")
+        return 1
     # one memo for both sides: a right side that rewrites the left in a few
     # places shares most of its subexpressions' values
     value = _evaluator()

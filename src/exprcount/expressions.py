@@ -6,7 +6,9 @@ significant for ``Sub`` and ``Div``).  ``evaluate`` maps a tree to the
 canonical fraction it denotes; two trees are equivalent expressions exactly
 when their fractions are equal.  Domain-of-definition differences between
 the underlying functions are deliberately ignored: equivalence is equality
-of formal fractions, nothing else.
+of formal fractions, nothing else.  ``_residue`` evaluates a tree at a point
+modulo a prime, which ``equiv`` uses to prove two trees inequivalent
+without expanding a polynomial.
 
 Infix grammar (EBNF)::
 
@@ -24,6 +26,7 @@ unused variable index in first-occurrence order.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections.abc import Callable
@@ -340,3 +343,64 @@ def _evaluator() -> Callable[[ExprTree], Frac]:
         return got
 
     return value
+
+
+_PRIME = 2**61 - 1
+_MASK64 = 2**64 - 1
+
+
+@functools.cache
+def _point(index: int) -> int:
+    """x_index's coordinate at the point where ``equiv`` compares residues.
+
+    SplitMix64's output for the index, mod ``_PRIME``.  Coordinates in a
+    geometric or arithmetic progression would make divisors such as
+    ``e*e/(-u) + h`` vanish whenever three indices are in progression.
+    """
+    z = index * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return (z ^ z >> 31) % _PRIME
+
+
+def _residue(tree: ExprTree, point: Callable[[int], int]) -> tuple[int, int]:
+    """The tree's value mod ``_PRIME`` at a point, as a (num, den) pair.
+
+    ``point(i)`` is x_i's coordinate, in range(_PRIME).  Fractions combine
+    by cross-multiplication, so no inverse is taken: den is a product of 1s
+    and of divisors' numerators.  Raises ZeroDivisionError when a divisor's
+    numerator is 0: always for a divisor that is the zero fraction, and for
+    one that merely vanishes at the point.
+    """
+    cls = type(tree)
+    if cls is Leaf:
+        return point(tree.index), 1
+    if cls is Neg:
+        num, den = _residue(tree.child, point)
+        return -num % _PRIME, den
+    a, b = _residue(tree.left, point)
+    c, d = _residue(tree.right, point)
+    if cls is Add:
+        return (a * d + c * b) % _PRIME, b * d % _PRIME
+    if cls is Sub:
+        return (a * d - c * b) % _PRIME, b * d % _PRIME
+    if cls is Mul:
+        return a * c % _PRIME, b * d % _PRIME
+    if not c:
+        raise ZeroDivisionError("a divisor vanishes at the point")
+    return a * d % _PRIME, b * c % _PRIME
+
+
+def _residues_differ(left: ExprTree, right: ExprTree) -> bool:
+    """True when the two trees' residues at ``_point`` differ.
+
+    Where no divisor vanishes, evaluation at a point mod a prime is a ring
+    map, so residues that differ prove the fractions differ.  False proves
+    nothing: the residues are equal, or a divisor vanishes at the point.
+    """
+    try:
+        a, b = _residue(left, _point)
+        c, d = _residue(right, _point)
+    except ZeroDivisionError:
+        return False
+    return (a * d - c * b) % _PRIME != 0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from exprcount import SequenceRow, SequenceTable, cli, compute_table, parse
+from exprcount import SequenceRow, SequenceTable, cli, compute_table, expressions, parse
 from exprcount.cli import main, table_to_csv, table_to_json
 
 COLUMNS = ("S", "Q", "R", "P", "A")
@@ -350,9 +350,13 @@ def test_nesting_depth_limit_exits_2(capsys, nest):
     assert "Traceback" not in err
 
 
-def test_too_many_variables_for_the_recursion_limit_exits_2(capsys):
-    # the exact gcd recurses once per variable: 500 distinct names, in a
-    # balanced sum about ten levels deep, pass Python's recursion limit
+def _past_the_recursion_limit():
+    """A fraction of 500 distinct names, equal to (v0 + w)/(v0 - w).
+
+    The exact gcd recurses once per variable: 500 names, in a balanced sum
+    about ten levels deep, pass Python's recursion limit.
+    """
+
     def balanced(names):
         if len(names) == 1:
             return names[0]
@@ -360,11 +364,51 @@ def test_too_many_variables_for_the_recursion_limit_exits_2(capsys):
         return f"({balanced(names[:half])} + {balanced(names[half:])})"
 
     s = balanced([f"v{i}" for i in range(500)])
-    text = f"({s}) * (v0 + w) / (({s}) * (v0 - w))"
+    return f"({s}) * (v0 + w) / (({s}) * (v0 - w))"
+
+
+def test_too_many_variables_for_the_recursion_limit_exits_2(capsys):
+    text = _past_the_recursion_limit()
     for argv in (["canon", "--", text], ["equiv", "--", text, "(v0 + w) / (v0 - w)"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: input too large for Python's recursion limit\n"
+
+
+def test_differing_residues_answer_without_the_exact_path(capsys, monkeypatch):
+    # Fails on the plant "point evaluated with x1 = x2 always": a and b then
+    # have equal residues, and the pair reaches the exact path.
+    def exact_path():
+        raise RuntimeError("exact path reached")
+
+    monkeypatch.setattr(cli, "_evaluator", exact_path)
+    pairs = [("a", "b"), ("a*b", "a/b"), ("c/(a-b)", "d")]
+    # past the recursion limit, where the exact path exits 2
+    pairs.append((_past_the_recursion_limit(), "(v0 - w)/(v0 + w)"))
+    for left, right in pairs:
+        assert run(capsys, "equiv", "--", left, right) == (1, "inequivalent\n", "")
+
+
+def test_differing_products_of_40_sums_are_answered_at_once():
+    # The exact path expands 2^39 terms on each side and never finishes, so
+    # a separate process with a timeout.  Fails on the plant "point
+    # evaluated with x1 = x2 always": a0 - b0 and b0 - a0 then both vanish.
+    left = " * ".join(["(a0 - b0)"] + [f"(a{i} + b{i})" for i in range(1, 40)])
+    right = left.replace("(a0 - b0)", "(b0 - a0)", 1)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "exprcount.cli", "equiv", left, right]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=1)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "inequivalent\n", "")
+
+
+def test_equal_residues_go_on_to_the_exact_path(capsys, monkeypatch):
+    # Every name at one coordinate: x1 = x2, so a and b have equal residues
+    # and a - b vanishes.  Fails on the plant "equal residues print
+    # `equivalent`".
+    monkeypatch.setattr(expressions, "_point", lambda index: 7)
+    assert run(capsys, "equiv", "a", "b") == (1, "inequivalent\n", "")
+    assert run(capsys, "equiv", "c/(a-b)", "d") == (1, "inequivalent\n", "")
+    assert run(capsys, "equiv", "(a*a - b*b)/(a - b)", "b + a") == (0, "equivalent\n", "")
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
@@ -488,6 +532,9 @@ def test_start_loads_no_code_generation_or_typing():
     loaded = set(run.stdout.split())
     assert "exprcount.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
+    # equiv's point is computed per index on demand: importing random or
+    # hashlib, or building a table of points, costs every command's start
+    assert loaded.isdisjoint({"random", "hashlib"})
     assert loaded.isdisjoint({"multiprocessing", "concurrent.futures", "pickle", "subprocess"})
 
 

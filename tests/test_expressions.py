@@ -1,5 +1,6 @@
 """Expression trees: parsing, rendering, subtraction removal, evaluation."""
 
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from exprcount import (
     parse,
     render,
 )
-from exprcount.expressions import MAX_DEPTH, _evaluator
+from exprcount.expressions import MAX_DEPTH, _PRIME, _evaluator, _point, _residue
 from genlib import random_tree
 
 
@@ -256,3 +257,34 @@ def test_repeated_variables_allowed_and_zero_division_raises():
     bad, _ = parse("b/(a-a)")
     with pytest.raises(ZeroDivisionError):
         evaluate(bad)
+
+
+def _residue_of(poly, xs):
+    """The polynomial's value mod _PRIME at the point xs (index -> coordinate)."""
+    return sum(c * math.prod(xs[i] for i in m) for m, c in poly.terms.items()) % _PRIME
+
+
+def test_residue_agrees_with_the_exact_fraction():
+    # Fails on the plants "no zero-divisor check" (a formal zero divisor then
+    # gives a pair) and "point evaluated with x1 = x2 always" (x1 - x2 then
+    # vanishes at _point where the exact divisor does not).
+    rnd = random.Random(37)
+    zero_divisions = 0
+    for _ in range(400):
+        tree = random_tree(rnd, 5)
+        points = [{i: rnd.randrange(_PRIME) for i in range(1, 5)} for _ in range(3)]
+        points.append({i: _point(i) for i in range(1, 5)})
+        try:
+            exact = evaluate(tree)
+        except ZeroDivisionError:
+            zero_divisions += 1
+            for xs in points:
+                with pytest.raises(ZeroDivisionError):
+                    _residue(tree, xs.__getitem__)
+            continue
+        for xs in points:
+            num, den = _residue(tree, xs.__getitem__)
+            exact_den = _residue_of(exact.den, xs)
+            assert den and exact_den
+            assert num * exact_den % _PRIME == _residue_of(exact.num, xs) * den % _PRIME
+    assert 0 < zero_divisions < 400
