@@ -390,7 +390,7 @@ def test_differing_residues_answer_without_the_exact_path(capsys, monkeypatch):
 
 
 def test_differing_products_of_40_sums_are_answered_at_once():
-    # The exact path expands 2^39 terms on each side and never finishes, so
+    # The exact path expands 2^40 terms on each side and never finishes, so
     # a separate process with a timeout.  Fails on the plant "point
     # evaluated with x1 = x2 always": a0 - b0 and b0 - a0 then both vanish.
     left = " * ".join(["(a0 - b0)"] + [f"(a{i} + b{i})" for i in range(1, 40)])
