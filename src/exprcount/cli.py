@@ -133,10 +133,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for k in range(1, k_max + 1):
         counted = count_tree_classes(k, cutoff=k_max)
         expected = table.row(k).A
-        status = "PASS" if counted == expected else "FAIL"
-        if counted != expected:
-            failures += 1
-        print(f"k={k}: oracle={counted} engine={expected} {status}")
+        passed = counted == expected
+        failures += not passed
+        print(f"k={k}: oracle={counted} engine={expected} {'PASS' if passed else 'FAIL'}")
     if failures:
         print(f"{failures} of {k_max} checks failed")
         return 1

@@ -86,7 +86,7 @@ Catalan(k-1) * k! * 4^(k-1) * 2^(2k-1) members, about 1e6 at k = 4 and
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from functools import cache, cached_property, lru_cache, wraps
+from functools import cache, cached_property, wraps
 from itertools import chain, combinations, permutations, product
 
 from .expressions import Add, Div, ExprTree, Leaf, Mul, Neg, Sub, evaluate
@@ -133,7 +133,7 @@ def _check_k(k: int, cutoff: int | None) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@cache
 def tree_shapes(leaves: int) -> tuple[Shape, ...]:
     """All ordered binary tree shapes with the given number of leaves."""
     if leaves == 1:
@@ -262,11 +262,10 @@ def enumerate_tree_classes(k: int, cutoff: int | None = None) -> ClassSet:
 def count_tree_classes(k: int, cutoff: int | None = None) -> int:
     """len(enumerate_tree_classes(k, cutoff)), without building a Frac.
 
-    The top level keeps only one key per +/- pair, not the values.
+    The same walk, whose top level holds only one key per +/- pair.
     """
     _check_k(k, cutoff)
-    full, width = frozenset(range(1, k + 1)), 1 << k
-    return 2 * len({_key(r, width) for r in _GrammarBuilder().tree_candidates(full)})
+    return 2 * sum(1 for _ in _GrammarBuilder().iter_tree_reps(frozenset(range(1, k + 1))))
 
 
 def iter_expression_trees(k: int, cutoff: int | None = None) -> Iterator[ExprTree]:
@@ -329,12 +328,15 @@ class _GrammarBuilder:
     product-type summand containing min(V) and the remaining sum; products
     split into the numerator/denominator factor groups, counted up to
     sign.  Every kind is built as one member per +/- pair, and no signed
-    list is held.  Each class is generated exactly once -- the uniqueness
-    theorems for these decompositions are what the duplicate-freedom tests
-    exercise.  Callers must not mutate a memoized list.  The builder also
-    keeps one ``_converter``, built on first use (``count_tree_classes``
-    never needs one), so calls that share the builder share its
-    polynomials and sign decisions.
+    list is held.  The tree walk reaches a pair many times and keeps the
+    first, through the one key set that ``iter_tree_reps`` holds per
+    variable set; ``enumerate_tree_classes`` and ``count_tree_classes``
+    both stream its top level.  Each grammar class is generated exactly
+    once -- the uniqueness theorems for these decompositions are what the
+    duplicate-freedom tests exercise.  Callers must not mutate a memoized
+    list.  The builder also keeps one ``_converter``, built on first use
+    (``count_tree_classes`` never needs one), so calls that share the
+    builder share its polynomials and sign decisions.
     """
 
     def __init__(self) -> None:
@@ -344,33 +346,27 @@ class _GrammarBuilder:
     def _convert(self) -> Callable[[Iterable[Value], bool], Iterator[Frac]]:
         return _converter()
 
-    def tree_candidates(self, vars_: frozenset[int]) -> Iterator[Value]:
-        """Every value the tree walk forms on vars_, in walk order, repeats included.
+    def iter_tree_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
+        """One value per +/- pair of the values of every tree on vars_, the first one reached.
 
         For each unordered split, u + w, u - w, u*w, q = u/w and 1/q over the
-        ``tree_reps`` u of the left part and w of the right; a single variable
-        is its own one value.
+        ``tree_reps`` u of the left part and w of the right, each yielded
+        unless its pair's key is already held; a single variable is its own
+        one value.  Only the keys of the pairs already reached are held.
         """
         if len(vars_) == 1:
             yield _leaf(min(vars_))
+        width, seen = 1 << max(vars_), set()
         for left, right in _splits(vars_):  # none for a single variable
             rights = [(w, _reciprocal(w)) for w in self.tree_reps(right)]
             for u in self.tree_reps(left):
                 for w, w_inv in rights:
                     q = _product(u, w_inv)
-                    yield from (*_sums(u, w), _product(u, w), q, _reciprocal(q))
-
-    def iter_tree_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
-        """One value per +/- pair of the values of every tree on vars_, the first one reached.
-
-        Only the keys of the pairs already reached are held.
-        """
-        width, seen = 1 << max(vars_), set()
-        for r in self.tree_candidates(vars_):
-            n = len(seen)
-            seen.add(_key(r, width))
-            if len(seen) > n:
-                yield r
+                    for r in (*_sums(u, w), _product(u, w), q, _reciprocal(q)):
+                        key = _key(r, width)
+                        if key not in seen:
+                            seen.add(key)
+                            yield r
 
     def iter_sum_reps(self, vars_: frozenset[int]) -> Iterator[Value]:
         """Sums p + a, p a product-type head holding min(vars_), a any tail.
