@@ -130,25 +130,21 @@ class ExprSyntaxError(ValueError):
 
 
 class NameMap:
-    """Injective mapping between surface identifiers and variable indices.
+    """Numbering of surface identifiers as variable indices 1, 2, ...
 
-    Unknown names get the next unused index in the order they are first
-    seen, so one shared NameMap makes two parsed expressions comparable.
+    A name gets the next index the first time it is seen, so n names take
+    exactly 1..n, and one shared NameMap makes two parsed expressions
+    comparable.  An index that no name took reads ``x<i>``.
     """
 
-    def __init__(self, names: dict[str, int] | None = None):
-        self._by_name: dict[str, int] = dict(names) if names else {}
-        self._by_index: dict[int, str] = {i: n for n, i in self._by_name.items()}
-        if len(self._by_index) != len(self._by_name):
-            raise ValueError("name map must be injective")
-        self._next = max(self._by_index, default=0) + 1
+    def __init__(self):
+        self._by_name: dict[str, int] = {}
+        self._by_index: dict[int, str] = {}
 
     def index_for(self, name: str) -> int:
         idx = self._by_name.get(name)
         if idx is None:
-            idx = self._next
-            self._next += 1
-            self._by_name[name] = idx
+            idx = self._by_name[name] = len(self._by_name) + 1
             self._by_index[idx] = name
         return idx
 

@@ -550,8 +550,13 @@ class _ClosedStream(io.TextIOBase):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(("canon", "a/(b-"), 2), (("canon", "a/(b-b)"), 2), (("canon", "a"), 3)],
-    ids=["syntax-error", "zero-division", "internal-error"],
+    [
+        (("canon", "a/(b-"), 2),
+        (("canon", "a/(b-b)"), 2),
+        (("verify", "--max-k", "5"), 2),
+        (("canon", "a"), 3),
+    ],
+    ids=["syntax-error", "zero-division", "verify-usage", "internal-error"],
 )
 def test_closed_stderr_keeps_the_documented_exit_code(capsys, monkeypatch, argv, code):
     def fail(tree):
@@ -610,9 +615,9 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_verify_refuses_large_without_flag(capsys):
-    code, _, err = run(capsys, "verify", "--max-k", "5")
-    assert code == 2
-    assert "--unsafe-large" in err
+    code, out, err = run(capsys, "verify", "--max-k", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-k 5 exceeds the safe cutoff 4; pass --unsafe-large to proceed\n"
 
 
 def test_verify_past_the_cutoff_with_unsafe_large(capsys):

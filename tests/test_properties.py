@@ -4,7 +4,7 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from exprcount import Leaf, NameMap, Neg, Sub, eliminate_subtraction, evaluate, parse, render
+from exprcount import Leaf, Neg, Sub, eliminate_subtraction, evaluate, parse, render
 from exprcount.cli import main
 from genlib import random_tree
 from test_expressions import _mirror
@@ -42,7 +42,7 @@ def _equiv(lhs, rhs):
 
 def test_parse_inverts_render():
     rnd = random.Random(6)
-    identity = NameMap({f"x{i}": i for i in range(1, 7)})
+    identity = parse(" + ".join(f"x{i}" for i in range(1, 7)))[1]
     for _ in range(500):
         tree = random_tree(rnd, 4, 6)
         assert parse(render(tree), identity)[0] == tree
